@@ -390,7 +390,6 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
             "experiment": experiment,
             "config": config,
             "version": __version__,
-            "workers": os.environ.get("SOLENOIDLAB_WORKERS", "1"),
             "wall_clock_seconds": time.time() - started,
         },
     )

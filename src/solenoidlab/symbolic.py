@@ -2,9 +2,16 @@
 
 The map f is a full degree-2 covering: branch 0 carries [0, 1/2] onto
 [0, 1] and branch 1 carries [1/2, 1] onto [0, 1], so every finite 0/1
-word is admissible.  Inverse branches are solved on the lift (bisection
-bracket, then Newton), words compose right to left, and the level-n
-cylinders tile the interval in lexicographic = spatial order.
+word is admissible.  Inverse branches are solved on the lift by the
+contraction y <- (x + a - g(y)) / 2, words compose right to left, and the
+level-n cylinders tile the interval in lexicographic = spatial order.
+
+The contraction factor is sup|g'| / 2 < 1/2, because PerturbationSpec
+enforces the C^1 budget sup|g'| < 1, so each sweep at least halves the
+distance to the root and a fixed number of sweeps reaches it to the last
+bit.  The branches fix the cylinder endpoints exactly, g_0(0) = 0.0 and
+g_1(1) = 1.0, so the level-k endpoints are every 2^(n-k)-th level-n
+endpoint, bit for bit: one level-n tree serves every coarser level.
 
 Boundary convention: theta = 1/2 belongs to symbol 1 and theta = 0 to
 symbol 0; cylinder work happens on the closed interval [0, 1] so the
@@ -27,10 +34,11 @@ __all__ = [
     "inverse_branch",
     "apply_word",
     "cylinder",
-    "branch_fixed_point",
     "level_endpoints",
     "level_anchors",
+    "endpoint_anchors",
     "anchor_birkhoff_sums",
+    "tree_birkhoff_sums",
     "cylinder_rows",
     "word_index",
     "index_word",
@@ -38,9 +46,10 @@ __all__ = [
 
 Word = tuple[int, ...]
 
-_BISECT_STEPS = 12  # brackets to width 2^-13 < 1e-3
-_NEWTON_STEPS = 60
-_NEWTON_TOL = 1e-15
+# Each sweep shrinks the error by sup|g'| / 2 < 1/2 and the start (x + a) / 2
+# lies within 1/2 of the root, so 60 sweeps bring any start within 2^-61,
+# below one ulp of any root in [1/4, 1] and far below the 1e-14 contract.
+_SWEEPS = 60
 
 
 class BranchSolverError(Exception):
@@ -55,26 +64,22 @@ def _check_word(w: Sequence[int]) -> Word:
 
 
 def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Solve 2y + g(y) = x + a for y in [a/2, (a+1)/2], vectorized."""
+    """Solve 2y + g(y) = x + a for y in [a/2, (a+1)/2], vectorized.
+
+    Iterates y <- (x + a - g(y)) / 2 from y = (x + a) / 2 until the sweep
+    reproduces y exactly or _SWEEPS sweeps have run.
+    """
     target = x + a
-    lo = 0.5 * a
-    hi = 0.5 * (a + 1.0)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        g, _ = g_eval(spec, mid)
-        high = 2.0 * mid + g > target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    y = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        g, gp = g_eval(spec, y)
-        resid = 2.0 * y + g - target
-        y = np.clip(y - resid / (2.0 + gp), 0.5 * a, 0.5 * (a + 1.0))
-        if np.max(np.abs(resid)) < _NEWTON_TOL:
+    y = 0.5 * target
+    for _ in range(_SWEEPS):
+        g, _ = g_eval(spec, y)
+        nxt = 0.5 * (target - g)
+        if np.array_equal(nxt, y):
             break
-    g, gp = g_eval(spec, y)
+        y = nxt
+    g, _ = g_eval(spec, y)
     resid = np.abs(2.0 * y + g - target)
-    if np.max(resid) >= 1e-14:
+    if not np.all(resid < 1e-14):
         raise BranchSolverError(
             f"branch solve residual {np.max(resid):.3e} exceeds 1e-14"
         )
@@ -91,7 +96,7 @@ def inverse_branch(spec: PerturbationSpec, a: int, x):
         raise ValueError("symbol must be 0 or 1")
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((xv < 0.0) | (xv > 1.0)):
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
     y = _solve_branch(spec, np.full_like(xv, float(a)), xv)
     _, gp = g_eval(spec, y)
@@ -129,22 +134,6 @@ def apply_word(spec: PerturbationSpec, w: Sequence[int], x):
     return y, deriv
 
 
-def branch_fixed_point(spec: PerturbationSpec, a: int, tol: float = 1e-15) -> float:
-    """Fixed point of the inverse branch g_a, found by contraction iteration.
-
-    Branch 0 fixes 0; branch 1 fixes the lift coordinate 1 (circle point 0).
-    """
-    if a not in (0, 1):
-        raise ValueError("symbol must be 0 or 1")
-    y = 0.25 + 0.5 * a
-    for _ in range(200):
-        nxt, _ = inverse_branch(spec, a, y)
-        if abs(nxt - y) < tol:
-            return nxt
-        y = nxt
-    raise BranchSolverError(f"branch-{a} fixed point did not converge")
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """Interval of points whose first n symbols equal the word."""
@@ -159,7 +148,8 @@ def cylinder(spec: PerturbationSpec, w: Sequence[int]) -> Cylinder:
     """Cylinder interval [g_w(0), g_w(1)] with its canonical periodic anchor.
 
     The anchor is g_{w'}(x_s) where s is the last symbol and x_s the fixed
-    point of branch s; that lands on the cylinder endpoint matching s.
+    point of branch s (x_0 = 0, x_1 = 1); that lands on the cylinder
+    endpoint matching s.
     """
     word = _check_word(w)
     if not word:
@@ -204,31 +194,47 @@ def level_endpoints(spec: PerturbationSpec, n: int) -> np.ndarray:
     return pts
 
 
+def endpoint_anchors(pts: np.ndarray) -> np.ndarray:
+    """Anchors of the cylinders with sorted endpoints pts, in lexicographic order.
+
+    An even-indexed word ends in 0 and is anchored at its left endpoint,
+    an odd-indexed one ends in 1 and is anchored at its right endpoint.
+    """
+    idx = np.arange(pts.size - 1)
+    return np.where(idx & 1 == 0, pts[idx], pts[idx + 1])
+
+
 def level_anchors(spec: PerturbationSpec, n: int) -> np.ndarray:
     """Anchor points of all level-n cylinders in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = level_endpoints(spec, n)
-    idx = np.arange(1 << n)
-    return np.where(idx & 1 == 0, pts[idx], pts[idx + 1])
+    return endpoint_anchors(level_endpoints(spec, n))
 
 
-def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
-    """Birkhoff sums S_n fn at every level-n anchor, in lexicographic order.
+def tree_birkhoff_sums(pts: np.ndarray, fn) -> np.ndarray:
+    """Birkhoff sums S_n fn at every anchor of the level-n tree pts = level_endpoints(spec, n).
 
     Uses f(x_w) = x_{shift w} to share suffix sums across the word tree:
     the level-k sums are fn(anchor) plus the level-(k-1) sums of the
-    words with the first symbol dropped.  fn must accept arrays.
+    words with the first symbol dropped, the level-k endpoints being
+    pts[::2^(n-k)].  fn must accept arrays.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sums = np.asarray(fn(level_anchors(spec, 1)), dtype=float)
+    n = (pts.size - 1).bit_length() - 1
+    if n < 1 or pts.size != (1 << n) + 1:
+        raise ValueError("pts must hold the 2^n + 1 endpoints of a level n >= 1")
+    sums = np.asarray(fn(endpoint_anchors(pts[:: 1 << (n - 1)])), dtype=float)
     for k in range(2, n + 1):
-        anchors = level_anchors(spec, k)
-        mask = (1 << (k - 1)) - 1
-        idx = np.arange(1 << k) & mask
+        anchors = endpoint_anchors(pts[:: 1 << (n - k)])
+        idx = np.arange(1 << k) & ((1 << (k - 1)) - 1)
         sums = np.asarray(fn(anchors), dtype=float) + sums[idx]
     return sums
+
+
+def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
+    """Birkhoff sums S_n fn at every level-n anchor, in lexicographic order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return tree_birkhoff_sums(level_endpoints(spec, n), fn)
 
 
 def cylinder_rows(spec: PerturbationSpec, n: int):
@@ -241,9 +247,9 @@ def cylinder_rows(spec: PerturbationSpec, n: int):
     if not 1 <= n <= 16:
         raise ValueError("n must be in 1..16")
     pts = level_endpoints(spec, n)
-    anchors = level_anchors(spec, n)
-    sums = anchor_birkhoff_sums(
-        spec, n, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1])
+    anchors = endpoint_anchors(pts)
+    sums = tree_birkhoff_sums(
+        pts, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1])
     )
     derivs = np.exp(-sums)
     rows = []

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circle_map import PerturbationSpec, f_eval
-from .symbolic import anchor_birkhoff_sums, inverse_branch, level_anchors, level_endpoints
+from .symbolic import endpoint_anchors, inverse_branch, level_endpoints, tree_birkhoff_sums
 
 __all__ = [
     "GridFunction",
@@ -324,19 +324,20 @@ def ball_mass(eq: EquilibriumData, centers, r: float):
 
 def cylinder_masses(eq: EquilibriumData, n: int) -> np.ndarray:
     """nu of every level-n cylinder, lexicographic order (sums to 1 exactly)."""
-    pts = level_endpoints(eq.spec, n)
-    return np.diff(measure_cdf(eq, pts))
+    return np.diff(measure_cdf(eq, level_endpoints(eq.spec, n)))
 
 
-def _phi_birkhoff(eq: EquilibriumData, n: int) -> np.ndarray:
+def _phi_birkhoff(eq: EquilibriumData, pts: np.ndarray) -> np.ndarray:
+    """S_n phi at the anchors of the level-n tree pts."""
     phi = eq.phi
-    return anchor_birkhoff_sums(eq.spec, n, lambda pts: phi(np.asarray(pts) % 1.0))
+    return tree_birkhoff_sums(pts, lambda x: phi(np.asarray(x) % 1.0))
 
 
-def _tau_birkhoff(eq: EquilibriumData, n: int) -> np.ndarray:
+def _tau_birkhoff(eq: EquilibriumData, pts: np.ndarray) -> np.ndarray:
+    """S_n ln f' at the anchors of the level-n tree pts."""
     spec = eq.spec
-    return anchor_birkhoff_sums(
-        eq.spec, n, lambda pts: np.log(f_eval(spec, np.asarray(pts) % 1.0)[1])
+    return tree_birkhoff_sums(
+        pts, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1])
     )
 
 
@@ -348,8 +349,9 @@ def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
     """
     if not 1 <= n <= 16:
         raise ValueError("n must be in 1..16")
-    masses = cylinder_masses(eq, n)
-    weights = np.exp(_phi_birkhoff(eq, n))
+    pts = level_endpoints(eq.spec, n)
+    masses = np.diff(measure_cdf(eq, pts))
+    weights = np.exp(_phi_birkhoff(eq, pts))
     ratios = masses / weights
     return float(ratios.min()), float(ratios.max())
 
@@ -384,10 +386,15 @@ class DeviationProfile:
     fitted_rate: float
 
 
-def _deviation_mask(eq: EquilibriumData, n: int, epsilon: float) -> np.ndarray:
-    """True where the level-n anchor violates either regularity window."""
-    s_tau = _tau_birkhoff(eq, n)
-    s_phi = _phi_birkhoff(eq, n)
+def _outside_windows(
+    eq: EquilibriumData, s_tau: np.ndarray, s_phi: np.ndarray, n: int, epsilon: float
+) -> np.ndarray:
+    """True where n-step sums of ln f' and phi leave either epsilon window.
+
+    The windows bound the expansion rate S_n ln f' / n around the Lyapunov
+    exponent and the local dimension -S_n phi / S_n ln f' around the
+    dimension of nu.
+    """
     bad_rate = np.abs(s_tau / n - eq.lyapunov) >= epsilon
     bad_dim = np.abs(s_phi / s_tau + eq.dimension) >= epsilon
     return bad_rate | bad_dim
@@ -413,10 +420,7 @@ def _deviation_fraction_mc(
     """Monte-Carlo escaping fraction for block lengths beyond the enumeration cap."""
     pts = sample(eq, samples, seed)
     s_tau, s_phi = _birkhoff_at_points(eq, pts, n)
-    bad = (np.abs(s_tau / n - eq.lyapunov) >= epsilon) | (
-        np.abs(s_phi / s_tau + eq.dimension) >= epsilon
-    )
-    return float(bad.mean())
+    return float(_outside_windows(eq, s_tau, s_phi, n, epsilon).mean())
 
 
 def large_deviation_profile(
@@ -439,11 +443,17 @@ def large_deviation_profile(
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
+    n_tree = max((n for n in n_list if n <= 16), default=0)
+    tree = level_endpoints(eq.spec, n_tree)
     entries = []
     for n in n_list:
         if n <= 16:
-            masses = cylinder_masses(eq, n)
-            frac = float(masses[_deviation_mask(eq, n, epsilon)].sum())
+            pts = tree[:: 1 << (n_tree - n)]
+            masses = np.diff(measure_cdf(eq, pts))
+            bad = _outside_windows(
+                eq, _tau_birkhoff(eq, pts), _phi_birkhoff(eq, pts), n, epsilon
+            )
+            frac = float(masses[bad].sum())
         else:
             frac = _deviation_fraction_mc(eq, n, epsilon, mc_samples, seed)
         entries.append((n, frac))
@@ -473,15 +483,11 @@ def regular_words(
     """
     if not 1 <= n <= 15:
         raise ValueError("n must be in 1..15")
-    anchors = level_anchors(eq.spec, n + 1)
-    s_tau, s_phi = _birkhoff_at_points(eq, anchors, n)
-    bad = (np.abs(s_tau / n - eq.lyapunov) >= epsilon) | (
-        np.abs(s_phi / s_tau + eq.dimension) >= epsilon
-    )
-    good = ~bad
+    pts = level_endpoints(eq.spec, n + 1)
+    s_tau, s_phi = _birkhoff_at_points(eq, endpoint_anchors(pts), n)
+    good = ~_outside_windows(eq, s_tau, s_phi, n, epsilon)
     if window is not None:
         lo, hi = window
-        pts = level_endpoints(eq.spec, n + 1)
         overlap = (pts[:-1] < hi) & (pts[1:] > lo)
         good &= overlap
     benchmark = float(np.exp(eq.dimension * eq.lyapunov * n))

@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle_map import g_eval
-from .symbolic import Word, _check_word, _solve_branch, branch_fixed_point
+from .symbolic import Word, _apply_symbols, _check_word
 from .thermo import EquilibriumData, transfer_matrix
 
 __all__ = [
@@ -84,25 +83,13 @@ def zeta_table(eq: EquilibriumData, context: Sequence[int], n: int) -> ZetaTable
     ctx = _check_word(context)
     if len(ctx) != n + 1:
         raise ValueError(f"context must have length n + 1 = {n + 1}, got {len(ctx)}")
-    spec = eq.spec
 
-    size = 1 << (n + 1)
-    idx = np.arange(size)
-    fixed = np.array(
-        [branch_fixed_point(spec, 0), branch_fixed_point(spec, 1)]
-    )
-    y = fixed[idx & 1]
-    deriv = np.ones(size)
+    idx = np.arange(1 << (n + 1))
+    # anchors: the fixed point of branch b_last, 0 for symbol 0 and 1 for 1
+    start = (idx & 1).astype(float)
     # branches of b' (bits n..1, applied right to left), then context'
-    for bit in range(1, n + 1):
-        sym = ((idx >> bit) & 1).astype(float)
-        y = _solve_branch(spec, sym, y)
-        _, gp = g_eval(spec, y)
-        deriv /= 2.0 + gp
-    for s in reversed(ctx[:-1]):
-        y = _solve_branch(spec, np.full(size, float(s)), y)
-        _, gp = g_eval(spec, y)
-        deriv /= 2.0 + gp
+    steps = [(idx >> bit) & 1 for bit in range(1, n + 1)] + list(reversed(ctx[:-1]))
+    _, deriv = _apply_symbols(eq.spec, steps, start)
 
     values = np.exp(2.0 * eq.lyapunov * n) * deriv
     return ZetaTable(n=n, context=ctx, values=values, lambda_used=eq.lyapunov)

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 report lines.  Criterion 6 asserts contraction strength at twist frequency
 100 for the coefficient family built here; the measured slope at that
 frequency is orders of magnitude shallower (the family's nonlinearity is
-~2.4e-4 in C^1), so that single assertion fails honestly while the
+sup|g'| ~ 6.6e-4 in C^1), so that single assertion fails honestly while the
 supplementary high-frequency run demonstrates the contraction contrast.
 """
 

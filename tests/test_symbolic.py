@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from solenoidlab import symbolic
 from solenoidlab.circle_map import coefficient_table, f_eval, f_lift, linear_spec
 from solenoidlab.symbolic import (
+    BranchSolverError,
     anchor_birkhoff_sums,
     apply_word,
-    branch_fixed_point,
     cylinder,
     index_word,
     inverse_branch,
@@ -45,6 +46,30 @@ def test_inverse_branch_residual_contract(spec):
         assert y.max() <= 0.5 * (a + 1)
 
 
+def test_inverse_branch_rejects_nan_and_out_of_range(spec):
+    for x in (np.nan, -1e-12, 1.0 + 1e-12):
+        with pytest.raises(ValueError):
+            inverse_branch(spec, 0, x)
+    with pytest.raises(ValueError):
+        inverse_branch(spec, 1, np.array([0.2, np.nan, 0.7]))
+
+
+def test_apply_word_nan_fails_residual_contract(spec):
+    with pytest.raises(BranchSolverError):
+        apply_word(spec, (0, 1), np.nan)
+
+
+def test_solver_raises_when_iteration_cannot_converge(spec, monkeypatch):
+    # g(y) = -4y turns the sweep into y <- (x + a)/2 + 2y, which diverges
+    def runaway(_spec, x):
+        x = np.asarray(x, dtype=float)
+        return -4.0 * x, np.full_like(x, -4.0)
+
+    monkeypatch.setattr(symbolic, "g_eval", runaway)
+    with pytest.raises(BranchSolverError):
+        inverse_branch(spec, 0, 0.3)
+
+
 def test_apply_word_empty(spec):
     y, d = apply_word(spec, (), 0.37)
     assert y == 0.37
@@ -71,9 +96,26 @@ def test_apply_word_matches_finite_differences(spec):
         assert fd == pytest.approx(deriv, rel=1e-6)
 
 
-def test_branch_fixed_points(spec):
-    assert branch_fixed_point(spec, 0) == pytest.approx(0.0, abs=1e-14)
-    assert branch_fixed_point(spec, 1) == pytest.approx(1.0, abs=1e-14)
+_TREE_SPECS = [
+    pytest.param(kind, n_max, id=f"{kind}-{n_max}")
+    for kind in ("exp", "smoothstep")
+    for n_max in (1, 3, 5, 8)
+]
+
+
+@pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
+def test_branch_fixed_points_exact(kind, n_max):
+    spec = coefficient_table(n_max, bump_kind=kind)
+    assert inverse_branch(spec, 0, 0.0)[0] == 0.0
+    assert inverse_branch(spec, 1, 1.0)[0] == 1.0
+
+
+@pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
+def test_level_tree_slices_are_coarser_levels(kind, n_max):
+    spec = coefficient_table(n_max, bump_kind=kind)
+    tree = level_endpoints(spec, 14)
+    for k in range(15):
+        assert np.array_equal(tree[:: 1 << (14 - k)], level_endpoints(spec, k))
 
 
 def test_cylinder_linear_01():

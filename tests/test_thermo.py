@@ -214,11 +214,13 @@ def test_dimension_matches_cylinder_scaling(spec):
 
 
 def test_lyapunov_matches_anchor_average(pert_eq):
+    from solenoidlab.symbolic import level_endpoints
     from solenoidlab.thermo import _tau_birkhoff
 
     n = 14
     masses = cylinder_masses(pert_eq, n)
-    rate = float((masses * _tau_birkhoff(pert_eq, n)).sum() / n)
+    pts = level_endpoints(pert_eq.spec, n)
+    rate = float((masses * _tau_birkhoff(pert_eq, pts)).sum() / n)
     assert rate == pytest.approx(pert_eq.lyapunov, abs=1e-3)
 
 
