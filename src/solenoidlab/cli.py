@@ -13,7 +13,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,17 +34,6 @@ from .thermo import (
     srb_potential,
 )
 from .twisted import concentration_report, exp_sum, twisted_norm_profile, zeta_table
-
-EXPERIMENTS = (
-    "construct",
-    "equilibrium",
-    "gibbs",
-    "deviations",
-    "twisted",
-    "nonconc",
-    "expsum",
-    "fourier",
-)
 
 DEFAULTS = {
     "n_max": 5,
@@ -72,6 +63,19 @@ DEFAULTS = {
     "mu_samples": 1_000_000,
     "mu_depth": 20,
     "mu_cross_t": [10.0, 100.0, 1000.0],
+}
+
+
+# The smallest value each count may take: a fitted slope needs two sigmas or
+# etas, and decay_exponent needs eight frequencies.
+_MINIMUM = {
+    "n_max": 1,
+    "lattice_k_max": 2,
+    "expsum_k": 1,
+    "mu_samples": 1000,
+    "freq_count": 8,
+    "sigma_count": 2,
+    "eta_count": 2,
 }
 
 
@@ -115,25 +119,19 @@ def _validate(config: dict) -> None:
     m = config["grid_m"]
     if not isinstance(m, int) or m < 1024 or m & (m - 1):
         raise ConfigError(f"grid_m must be a power of two >= 1024, got {m}")
-    if config["n_max"] < 1:
-        raise ConfigError("n_max must be >= 1")
-    if config["lattice_k_max"] < 2:
-        raise ConfigError("lattice_k_max must be >= 2")
+    for key, low in _MINIMUM.items():
+        if config[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    for key in ("deviation_epsilon", "eps0", "freq_base"):
+        if config[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
     if not 1 <= config["zeta_n"] <= 14:
         raise ConfigError("zeta_n must be in 1..14")
     ctx = config["zeta_context"]
     if set(ctx) - {"0", "1"} or len(ctx) != config["zeta_n"] + 1:
         raise ConfigError("zeta_context must be a 0/1 string of length zeta_n + 1")
-    if config["expsum_k"] < 1:
-        raise ConfigError("expsum_k must be >= 1")
-    if config["deviation_epsilon"] <= 0:
-        raise ConfigError("deviation_epsilon must be positive")
     if not 0 < config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need 0 < sigma_lo < sigma_hi")
-    if config["eps0"] <= 0:
-        raise ConfigError("eps0 must be positive")
-    if config["mu_samples"] < 1000:
-        raise ConfigError("mu_samples must be >= 1000")
     if 4.0 ** (-config["mu_depth"]) > 1e-9:
         raise ConfigError("mu_depth leaves the fiber unresolved")
     if config["twist_steps"] < 1 or config["twist_steps"] > 200:
@@ -141,8 +139,11 @@ def _validate(config: dict) -> None:
     levels = config["deviation_levels"]
     if any(b <= a for a, b in zip(levels, levels[1:])) or (levels and levels[-1] > 40):
         raise ConfigError("deviation_levels must be increasing and <= 40")
-    if any(not 1 <= n <= 16 for n in config["gibbs_levels"]):
-        raise ConfigError("gibbs_levels must be in 1..16")
+    gibbs = config["gibbs_levels"]
+    if not gibbs or any(not 1 <= n <= 16 for n in gibbs):
+        raise ConfigError("gibbs_levels must be a non-empty list of levels in 1..16")
+    if any(N < 1 for N in config["orbit_periods"]):
+        raise ConfigError("orbit_periods must be >= 1")
 
 
 def _build_potential(config: dict, spec) -> GridFunction:
@@ -184,12 +185,7 @@ def _write_json(path: Path, doc: dict) -> None:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _equilibrium(config: dict) -> EquilibriumData:
-    spec = coefficient_table(config["n_max"], config["bump_kind"])
-    return solve_equilibrium(spec, _build_potential(config, spec))
-
-
-def _run_construct(config: dict, out: Path) -> None:
+def _run_construct(config: dict, out: Path, _eq: None) -> None:
     spec = coefficient_table(config["n_max"], config["bump_kind"])
     report = verify_lattice(config["lattice_k_max"])
     doc = json.loads(spec.to_json())
@@ -197,19 +193,7 @@ def _run_construct(config: dict, out: Path) -> None:
         str(n): _fmt(lyapunov_target(spec, n)) for n in range(2, spec.n_max + 1)
     }
     _write_json(out / "coefficients.json", doc)
-    _write_json(
-        out / "lattice.json",
-        {
-            "k_max": report.k_max,
-            "radius_base": report.radius_base,
-            "intervals_checked": report.intervals_checked,
-            "pairs_checked": report.pairs_checked,
-            "exclusions_checked": report.exclusions_checked,
-            "disjoint_ok": report.disjoint_ok,
-            "exclusions_ok": report.exclusions_ok,
-            "first_violation": report.first_violation,
-        },
-    )
+    _write_json(out / "lattice.json", asdict(report))
     for N in config["orbit_periods"]:
         orbit = periodic_orbit(spec, N)
         rows = []
@@ -220,7 +204,8 @@ def _run_construct(config: dict, out: Path) -> None:
 
 
 def _run_equilibrium(config: dict, out: Path) -> EquilibriumData:
-    eq = _equilibrium(config)
+    spec = coefficient_table(config["n_max"], config["bump_kind"])
+    eq = solve_equilibrium(spec, _build_potential(config, spec))
     _write_json(
         out / "equilibrium.json",
         {
@@ -240,10 +225,7 @@ def _run_equilibrium(config: dict, out: Path) -> EquilibriumData:
 
 
 def _run_gibbs(config: dict, out: Path, eq: EquilibriumData) -> None:
-    rows = []
-    for n in config["gibbs_levels"]:
-        lo, hi = gibbs_ratio_stats(eq, n)
-        rows.append((n, lo, hi))
+    rows = [(n, *gibbs_ratio_stats(eq, n)) for n in config["gibbs_levels"]]
     _write_csv(out / "gibbs.csv", ["n", "ratio_min", "ratio_max"], rows)
     level = min(min(config["gibbs_levels"]), 10)
     _write_csv(
@@ -323,17 +305,15 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
         ["frequency", "modulus", "stderr"],
         [(f, m, 0.0) for f, m in series],
     )
+    cross_t = [float(t) for t in config["mu_cross_t"]]
+    xis = np.zeros((len(cross_t), 3))
+    xis[:, 0] = cross_t
+    estimates = mu_hat(
+        eq, xis, samples=config["mu_samples"], depth=config["mu_depth"], seed=config["seed"]
+    )
     cross = []
-    for t in config["mu_cross_t"]:
-        value, err = mu_hat(
-            eq.spec,
-            eq,
-            (float(t), 0.0, 0.0),
-            samples=config["mu_samples"],
-            depth=config["mu_depth"],
-            seed=config["seed"],
-        )
-        ref = nu_hat(eq, float(t))
+    for t, (value, err) in zip(cross_t, estimates):
+        ref = nu_hat(eq, t)
         cross.append(
             {
                 "t": _fmt(t),
@@ -354,35 +334,85 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
     )
 
 
+# ---------------------------------------------------------------------------
+# the experiment table
+# ---------------------------------------------------------------------------
+
+# A flag row: (flag, config key, type or tuple of choices, help).
+Flag = tuple[str, str, object, str]
+
+SHARED_FLAGS: tuple[Flag, ...] = (
+    ("--seed", "seed", int, "Monte-Carlo seed"),
+    ("--grid", "grid_m", int, "grid size (power of two >= 1024)"),
+    ("--n-max", "n_max", int, "coefficient truncation order"),
+    ("--potential", "potential", str, "mme, srb, or path to a JSON grid"),
+    ("--bump-kind", "bump_kind", ("exp", "smoothstep"), "bump profile of the perturbation"),
+)
+
+_ZETA_FLAGS: tuple[Flag, ...] = (
+    ("--zeta-n", "zeta_n", int, "phase-table block length"),
+    ("--context", "zeta_context", str, "context word as a 0/1 string"),
+    ("--eps0", "eps0", float, "eta-window exponent"),
+)
+
+
+class Experiment(NamedTuple):
+    """A subcommand: runner(config, out, eq), whether eq is solved first, its own flags."""
+
+    runner: Callable | None  # None: solving the equilibrium is the whole experiment
+    needs_equilibrium: bool
+    flags: tuple[Flag, ...] = ()
+
+
+EXPERIMENT_TABLE: dict[str, Experiment] = {  # in dependency order, the order of `all`
+    "construct": Experiment(_run_construct, False, (
+        ("--k-max", "lattice_k_max", int, "lattice verification order"),
+    )),
+    "equilibrium": Experiment(None, True),
+    "gibbs": Experiment(_run_gibbs, True),
+    "deviations": Experiment(_run_deviations, True, (
+        ("--epsilon", "deviation_epsilon", float, "deviation window"),
+    )),
+    "twisted": Experiment(_run_twisted, True, (
+        ("--t", "twist_t", float, "twist frequency"),
+        ("--steps", "twist_steps", int, "twisted iteration count"),
+    )),
+    "nonconc": Experiment(_run_nonconc, True, _ZETA_FLAGS),
+    "expsum": Experiment(_run_expsum, True, _ZETA_FLAGS),
+    "fourier": Experiment(_run_fourier, True, (
+        ("--samples", "mu_samples", int, "Monte-Carlo sample count"),
+        ("--depth", "mu_depth", int, "attractor iteration depth"),
+    )),
+}
+
+
+def _chain(experiment: str) -> tuple[str, ...]:
+    if experiment != "all" and experiment not in EXPERIMENT_TABLE:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    return tuple(EXPERIMENT_TABLE) if experiment == "all" else (experiment,)
+
+
+def _flags(experiment: str) -> tuple[Flag, ...]:
+    """The shared flags plus every flag of the experiments the command runs."""
+    own = (row for name in _chain(experiment) for row in EXPERIMENT_TABLE[name].flags)
+    return SHARED_FLAGS + tuple(dict.fromkeys(own))
+
+
 def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
     """Execute one experiment (or 'all') and write artifacts plus a manifest."""
-    if experiment != "all" and experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+    chain = _chain(experiment)
     _validate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    chain = EXPERIMENTS if experiment == "all" else (experiment,)
     eq: EquilibriumData | None = None
     for name in chain:
-        if name == "construct":
-            _run_construct(config, out)
-            continue
-        if eq is None:
+        entry = EXPERIMENT_TABLE[name]
+        if entry.needs_equilibrium and eq is None:
             eq = _run_equilibrium(config, out)
-        if name == "gibbs":
-            _run_gibbs(config, out, eq)
-        elif name == "deviations":
-            _run_deviations(config, out, eq)
-        elif name == "twisted":
-            _run_twisted(config, out, eq)
-        elif name == "nonconc":
-            _run_nonconc(config, out, eq)
-        elif name == "expsum":
-            _run_expsum(config, out, eq)
-        elif name == "fourier":
-            _run_fourier(config, out, eq)
+        if entry.runner is not None:
+            entry.runner(config, out, eq)
 
     _write_json(
         out / "manifest.json",
@@ -405,57 +435,19 @@ def _parser() -> argparse.ArgumentParser:
         description="Construct the nonlinear solenoid and run its verification experiments.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS + ("all",):
+    for name in (*EXPERIMENT_TABLE, "all"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config or a previously emitted manifest")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, help="Monte-Carlo seed")
-        p.add_argument("--grid", type=int, help="grid size (power of two >= 1024)")
-        p.add_argument("--n-max", type=int, help="coefficient truncation order")
-        p.add_argument("--potential", help="mme, srb, or path to a JSON grid")
-        p.add_argument("--bump-kind", choices=("exp", "smoothstep"))
-        if name in ("construct", "all"):
-            p.add_argument("--k-max", type=int, help="lattice verification order")
-        if name in ("twisted", "all"):
-            p.add_argument("--t", type=float, help="twist frequency")
-            p.add_argument("--steps", type=int, help="twisted iteration count")
-        if name in ("deviations", "all"):
-            p.add_argument("--epsilon", type=float, help="deviation window")
-        if name in ("nonconc", "expsum", "all"):
-            p.add_argument("--zeta-n", type=int, help="phase-table block length")
-            p.add_argument("--context", help="context word as a 0/1 string")
-            p.add_argument("--eps0", type=float, help="eta-window exponent")
-        if name in ("fourier", "all"):
-            p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-            p.add_argument("--depth", type=int, help="attractor iteration depth")
+        for flag, key, kind, text in _flags(name):
+            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(flag, dest=key, help=text, **check)
     return parser
-
-
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "grid": "grid_m",
-    "n_max": "n_max",
-    "potential": "potential",
-    "bump_kind": "bump_kind",
-    "k_max": "lattice_k_max",
-    "t": "twist_t",
-    "steps": "twist_steps",
-    "epsilon": "deviation_epsilon",
-    "zeta_n": "zeta_n",
-    "context": "zeta_context",
-    "eps0": "eps0",
-    "samples": "mu_samples",
-    "depth": "mu_depth",
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, flag)
-        for flag, key in _FLAG_TO_KEY.items()
-        if hasattr(args, flag)
-    }
+    overrides = {key: getattr(args, key) for _, key, _, _ in _flags(args.experiment)}
     try:
         config = resolve_config(overrides, args.config)
         run(args.experiment, config, args.out)

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle_map import PerturbationSpec
 from .solenoid import step_many
 from .thermo import EquilibriumData, GridFunction, nodes, sample
 
@@ -77,20 +76,22 @@ def nu_hat(
 
 
 def mu_hat(
-    spec: PerturbationSpec,
     eq: EquilibriumData,
-    xi: Sequence[float],
+    xi: Sequence[float] | Sequence[Sequence[float]],
     samples: int = 100_000,
     depth: int = 20,
     seed: int = 0,
-) -> tuple[complex, float]:
-    """Monte-Carlo transform of the solenoid measure along frequency vector xi.
+) -> tuple[complex, float] | list[tuple[complex, float]]:
+    """Monte-Carlo transform of the solenoid measure along frequency vectors xi.
 
     Draws angular samples from nu, pushes (theta, 0, 0) through depth
-    applications of the solid-torus map (the angular marginal stays nu while
-    the fibers land within 4^-depth of the attractor), and averages
-    e^{i xi . p}.  Returns (value, standard error); identical seeds give
-    bit-identical output.
+    applications of eq.spec's solid-torus map (the angular marginal stays nu
+    while the fibers land within 4^-depth of the attractor), and averages
+    e^{i xi . p}.  xi is one 3-vector, giving one (value, standard error)
+    pair, or a (k, 3) array, giving a list of k pairs.  The samples are
+    drawn and pushed once per call and every frequency is reduced from the
+    same points, one at a time: a batch row equals the single-vector call
+    bit for bit, and identical seeds give bit-identical output.
 
     Decay along xi is only claimed for directions with a nonzero angular
     component (the unstable cone); purely fiber-directed frequencies probe
@@ -101,21 +102,26 @@ def mu_hat(
     if 4.0 ** (-depth) > 1e-9:
         raise ValueError("depth leaves the fiber unresolved: need 4^-depth <= 1e-9")
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (3,):
-        raise ValueError("xi must be a 3-vector")
+    if xi.shape[-1:] != (3,) or xi.ndim > 2:
+        raise ValueError("xi must be a 3-vector or a (k, 3) array")
+    if xi.size == 0:
+        return []  # no frequencies: nothing to draw or push
 
     thetas = sample(eq, samples, seed)
     xs = np.zeros(samples)
     ys = np.zeros(samples)
     for _ in range(depth):
-        thetas, xs, ys, _ = step_many(spec, thetas, xs, ys)
+        thetas, xs, ys, _ = step_many(eq.spec, thetas, xs, ys)
 
-    phase = xi[0] * thetas + xi[1] * xs + xi[2] * ys
-    vals = np.exp(1j * phase)
-    value = complex(vals.mean())
-    var = vals.real.var() + vals.imag.var()
-    stderr = float(np.sqrt(var / samples))
-    return value, stderr
+    results = []
+    for row in np.atleast_2d(xi):
+        phase = row[0] * thetas + row[1] * xs + row[2] * ys
+        vals = np.exp(1j * phase)
+        value = complex(vals.mean())
+        var = vals.real.var() + vals.imag.var()
+        results.append((value, float(np.sqrt(var / samples))))
+        del phase, vals  # keep one frequency's temporaries alive at a time
+    return results[0] if xi.ndim == 1 else results
 
 
 @dataclass(frozen=True)

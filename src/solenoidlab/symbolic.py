@@ -63,27 +63,29 @@ def _check_word(w: Sequence[int]) -> Word:
     return word
 
 
-def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Solve 2y + g(y) = x + a for y in [a/2, (a+1)/2], vectorized.
+def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray):
+    """Solve 2y + g(y) = x + a for y in [a/2, (a+1)/2], vectorized; returns (y, g'(y)).
 
     Iterates y <- (x + a - g(y)) / 2 from y = (x + a) / 2 until the sweep
-    reproduces y exactly or _SWEEPS sweeps have run.
+    reproduces y exactly, whose g and g' at y serve the residual and the
+    return, or until _SWEEPS sweeps have run and g is evaluated once more.
     """
     target = x + a
     y = 0.5 * target
     for _ in range(_SWEEPS):
-        g, _ = g_eval(spec, y)
+        g, gp = g_eval(spec, y)
         nxt = 0.5 * (target - g)
         if np.array_equal(nxt, y):
             break
         y = nxt
-    g, _ = g_eval(spec, y)
+    else:
+        g, gp = g_eval(spec, y)
     resid = np.abs(2.0 * y + g - target)
     if not np.all(resid < 1e-14):
         raise BranchSolverError(
             f"branch solve residual {np.max(resid):.3e} exceeds 1e-14"
         )
-    return y
+    return y, gp
 
 
 def inverse_branch(spec: PerturbationSpec, a: int, x):
@@ -98,8 +100,7 @@ def inverse_branch(spec: PerturbationSpec, a: int, x):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    y = _solve_branch(spec, np.full_like(xv, float(a)), xv)
-    _, gp = g_eval(spec, y)
+    y, gp = _solve_branch(spec, np.full_like(xv, float(a)), xv)
     deriv = 1.0 / (2.0 + gp)
     if scalar:
         return float(y[0]), float(deriv[0])
@@ -112,8 +113,7 @@ def _apply_symbols(spec, symbols_per_step: Iterable, x: np.ndarray):
     deriv = np.ones_like(x)
     for syms in symbols_per_step:
         a = np.broadcast_to(np.asarray(syms, dtype=float), y.shape)
-        y = _solve_branch(spec, a, y)
-        _, gp = g_eval(spec, y)
+        y, gp = _solve_branch(spec, a, y)
         deriv /= 2.0 + gp
     return y, deriv
 

@@ -302,7 +302,7 @@ def test_criterion_8_fourier_decay(spec):
         ),
     ]
     for i, t in enumerate((10.0, 100.0, 1000.0)):
-        value, err = mu_hat(spec, eq, (t, 0.0, 0.0), samples=1_000_000, depth=20, seed=100 + i)
+        value, err = mu_hat(eq, (t, 0.0, 0.0), samples=1_000_000, depth=20, seed=100 + i)
         ref = nu_hat(eq, t)
         checks.append(
             (

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from solenoidlab.cli import ConfigError, main, resolve_config, run
+from solenoidlab.cli import ConfigError, _parser, main, resolve_config, run
 
 
 def _fast_config(**extra):
@@ -120,14 +120,18 @@ def test_all_runs_in_order(tmp_path):
 
 
 def test_manifest_rerun_reproduces_csv_bytes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_fast_config()))
     first = tmp_path / "first"
     second = tmp_path / "second"
-    assert main(["fourier", "--out", str(first), "--grid", "1024", "--samples", "2000"]) == 0
+    assert main(["all", "--out", str(first), "--config", str(config)]) == 0
     manifest = first / "manifest.json"
-    assert main(["fourier", "--out", str(second), "--config", str(manifest)]) == 0
-    for name in ("decay.csv",):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
-    assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
+    assert main(["all", "--out", str(second), "--config", str(manifest)]) == 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in second.iterdir() if p.name != "manifest.json")
+    assert {"decay.csv", "summary.json", "equilibrium.json", "orbit_5.csv"} <= set(names)
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_custom_potential_file(tmp_path):
@@ -153,3 +157,62 @@ def test_operation_error_exit_code(tmp_path):
         ["equilibrium", "--out", str(tmp_path), "--grid", "1024", "--potential", str(pot)]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "experiment, bad",
+    [
+        ("gibbs", {"gibbs_levels": []}),
+        ("construct", {"orbit_periods": [1, 0]}),
+        ("fourier", {"freq_count": 7}),
+        ("fourier", {"freq_base": 0.0}),
+        ("nonconc", {"sigma_count": 1}),
+        ("expsum", {"eta_count": 1}),
+    ],
+)
+def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main([experiment, "--out", str(out), "--config", str(config)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+# every subcommand's flags and the config key each sets, as the parser had them
+# before it was generated from the experiment table
+_SHARED_FLAGS = {
+    "--seed": "seed",
+    "--grid": "grid_m",
+    "--n-max": "n_max",
+    "--potential": "potential",
+    "--bump-kind": "bump_kind",
+}
+_ZETA_FLAGS = {"--zeta-n": "zeta_n", "--context": "zeta_context", "--eps0": "eps0"}
+_OWN_FLAGS = {
+    "construct": {"--k-max": "lattice_k_max"},
+    "equilibrium": {},
+    "gibbs": {},
+    "deviations": {"--epsilon": "deviation_epsilon"},
+    "twisted": {"--t": "twist_t", "--steps": "twist_steps"},
+    "nonconc": _ZETA_FLAGS,
+    "expsum": _ZETA_FLAGS,
+    "fourier": {"--samples": "mu_samples", "--depth": "mu_depth"},
+}
+_OWN_FLAGS["all"] = {k: v for flags in _OWN_FLAGS.values() for k, v in flags.items()}
+_FLAG_VALUE = {"--bump-kind": "exp", "--context": "0101", "--potential": "mme"}
+
+
+@pytest.mark.parametrize("experiment", sorted(_OWN_FLAGS))
+def test_subcommand_accepts_exactly_its_flags(experiment):
+    parser = _parser()
+    args = parser.parse_args([experiment, "--config", "c.json", "--out", "o"])
+    assert (args.config, args.out) == ("c.json", "o")
+    accepted = {**_SHARED_FLAGS, **_OWN_FLAGS[experiment]}
+    for flag in sorted({**_SHARED_FLAGS, **_OWN_FLAGS["all"]}):
+        argv = [experiment, flag, _FLAG_VALUE.get(flag, "1")]
+        if flag in accepted:
+            assert getattr(parser.parse_args(argv), accepted[flag]) is not None, argv
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)  # e.g. `gibbs --t 1`
+            assert exc.value.code == 2, argv

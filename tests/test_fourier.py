@@ -67,48 +67,59 @@ def test_nu_hat_localized_amplitude(pert_eq):
 
 
 def test_mu_hat_at_zero(pert_eq):
-    val, err = mu_hat(pert_eq.spec, pert_eq, (0.0, 0.0, 0.0), samples=2_000, seed=1)
+    val, err = mu_hat(pert_eq, (0.0, 0.0, 0.0), samples=2_000, seed=1)
     assert val == 1.0 + 0.0j
     assert err == 0.0
 
 
 def test_mu_hat_matches_nu_hat_on_first_axis(pert_eq):
-    spec = pert_eq.spec
     for t in (10.0, 100.0):
-        val, err = mu_hat(spec, pert_eq, (t, 0.0, 0.0), samples=200_000, seed=5)
+        val, err = mu_hat(pert_eq, (t, 0.0, 0.0), samples=200_000, seed=5)
         ref = nu_hat(pert_eq, t)
         assert abs(val - ref) < 3.0 * err
 
 
 def test_mu_hat_conjugate_symmetry(pert_eq):
-    spec = pert_eq.spec
     xi = (50.0, 3.0, -2.0)
-    a, _ = mu_hat(spec, pert_eq, xi, samples=5_000, seed=9)
-    b, _ = mu_hat(spec, pert_eq, tuple(-x for x in xi), samples=5_000, seed=9)
+    a, _ = mu_hat(pert_eq, xi, samples=5_000, seed=9)
+    b, _ = mu_hat(pert_eq, tuple(-x for x in xi), samples=5_000, seed=9)
     assert a == pytest.approx(b.conjugate(), abs=1e-14)
 
 
 def test_mu_hat_repeatability(pert_eq):
-    spec = pert_eq.spec
-    a = mu_hat(spec, pert_eq, (100.0, 1.0, 1.0), samples=5_000, seed=33)
-    b = mu_hat(spec, pert_eq, (100.0, 1.0, 1.0), samples=5_000, seed=33)
+    a = mu_hat(pert_eq, (100.0, 1.0, 1.0), samples=5_000, seed=33)
+    b = mu_hat(pert_eq, (100.0, 1.0, 1.0), samples=5_000, seed=33)
     assert a == b
 
 
 def test_mu_hat_decays_in_tilted_unstable_direction(pert_eq):
-    spec = pert_eq.spec
     v = np.array([1.0, 0.7, 0.0])
     v /= np.linalg.norm(v)  # ~35 degrees off the angular axis
-    low, err_low = mu_hat(spec, pert_eq, tuple(10.0 * v), samples=200_000, seed=11)
-    high, err_high = mu_hat(spec, pert_eq, tuple(100.0 * v), samples=200_000, seed=11)
+    low, err_low = mu_hat(pert_eq, tuple(10.0 * v), samples=200_000, seed=11)
+    high, err_high = mu_hat(pert_eq, tuple(100.0 * v), samples=200_000, seed=11)
     assert abs(low) > 0.1
     assert abs(high) < 0.01
     assert abs(low) - abs(high) > 5.0 * (err_low + err_high)
 
 
+def test_mu_hat_batch_matches_single_calls(pert_eq):
+    xis = [(10.0, 0.0, 0.0), (50.0, 3.0, -2.0), (-7.0, 0.0, 40.0)]
+    batch = mu_hat(pert_eq, xis, samples=5_000, seed=21)
+    singles = [mu_hat(pert_eq, xi, samples=5_000, seed=21) for xi in xis]
+    assert batch == singles  # bit for bit, value and stderr
+    assert mu_hat(pert_eq, xis[:1], samples=5_000, seed=21) == singles[:1]
+    assert mu_hat(pert_eq, np.zeros((0, 3)), samples=5_000) == []
+
+
+def test_mu_hat_rejects_malformed_xi(pert_eq):
+    for xi in [(1.0, 0.0), [[1.0, 0.0, 0.0, 0.0]], np.zeros((2, 2, 3))]:
+        with pytest.raises(ValueError):
+            mu_hat(pert_eq, xi, samples=2_000)
+
+
 def test_mu_hat_rejects_shallow_depth(pert_eq):
     with pytest.raises(ValueError):
-        mu_hat(pert_eq.spec, pert_eq, (1.0, 0.0, 0.0), samples=2_000, depth=10)
+        mu_hat(pert_eq, (1.0, 0.0, 0.0), samples=2_000, depth=10)
 
 
 def test_decay_exponent_pure_power_law():
