@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .circle_map import coefficient_table, lyapunov_target, verify_lattice
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
-from .solenoid import periodic_orbit, step
+from .solenoid import _worker_count, periodic_orbit, step
 from .symbolic import cylinder_rows
 from .thermo import (
     EquilibriumData,
@@ -137,8 +137,8 @@ def _validate(config: dict) -> None:
     if config["twist_steps"] < 1 or config["twist_steps"] > 200:
         raise ConfigError("twist_steps must be in 1..200")
     levels = config["deviation_levels"]
-    if any(b <= a for a, b in zip(levels, levels[1:])) or (levels and levels[-1] > 40):
-        raise ConfigError("deviation_levels must be increasing and <= 40")
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])) or levels[-1] > 40:
+        raise ConfigError("deviation_levels must be a non-empty increasing list <= 40")
     gibbs = config["gibbs_levels"]
     if not gibbs or any(not 1 <= n <= 16 for n in gibbs):
         raise ConfigError("gibbs_levels must be a non-empty list of levels in 1..16")
@@ -421,6 +421,7 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
             "config": config,
             "version": __version__,
             "wall_clock_seconds": time.time() - started,
+            "threads": _worker_count(),
         },
     )
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solenoid import step_many
+from .solenoid import push_forward
 from .thermo import EquilibriumData, GridFunction, nodes, sample
 
 __all__ = [
@@ -91,7 +91,10 @@ def mu_hat(
     pair, or a (k, 3) array, giving a list of k pairs.  The samples are
     drawn and pushed once per call and every frequency is reduced from the
     same points, one at a time: a batch row equals the single-vector call
-    bit for bit, and identical seeds give bit-identical output.
+    bit for bit, and identical seeds give bit-identical output.  The push
+    runs in fixed chunks on as many threads as os.sched_getaffinity allows
+    (solenoid.push_forward); the draw and the reductions run on the whole
+    arrays, so the output does not depend on the thread count.
 
     Decay along xi is only claimed for directions with a nonzero angular
     component (the unstable cone); purely fiber-directed frequencies probe
@@ -107,20 +110,17 @@ def mu_hat(
     if xi.size == 0:
         return []  # no frequencies: nothing to draw or push
 
-    thetas = sample(eq, samples, seed)
-    xs = np.zeros(samples)
-    ys = np.zeros(samples)
-    for _ in range(depth):
-        thetas, xs, ys, _ = step_many(eq.spec, thetas, xs, ys)
+    origin = np.broadcast_to(0.0, samples)  # every sample starts on the central fiber
+    thetas, xs, ys = push_forward(eq.spec, sample(eq, samples, seed), origin, origin, depth)
 
     results = []
     for row in np.atleast_2d(xi):
-        phase = row[0] * thetas + row[1] * xs + row[2] * ys
-        vals = np.exp(1j * phase)
+        vals = 1j * (row[0] * thetas + row[1] * xs + row[2] * ys)
+        np.exp(vals, out=vals)  # in place: one complex array per frequency
         value = complex(vals.mean())
         var = vals.real.var() + vals.imag.var()
         results.append((value, float(np.sqrt(var / samples))))
-        del phase, vals  # keep one frequency's temporaries alive at a time
+        del vals  # keep one frequency's temporaries alive at a time
     return results[0] if xi.ndim == 1 else results
 
 

@@ -1,10 +1,16 @@
 """CLI configuration, artifact emission, and manifest reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import solenoidlab
+from solenoidlab import fourier, solenoid
 from solenoidlab.cli import ConfigError, _parser, main, resolve_config, run
 
 
@@ -64,6 +70,7 @@ def test_construct_artifacts(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["experiment"] == "construct"
     assert manifest["config"]["lattice_k_max"] == 6
+    assert isinstance(manifest["threads"], int) and manifest["threads"] >= 1
 
 
 def test_equilibrium_artifacts(tmp_path):
@@ -83,6 +90,25 @@ def test_fourier_artifacts(tmp_path):
     assert float(summary["exponent"]) < 0.0
     assert summary["n_points"] >= 4
     assert len(summary["marginal_cross_check"]) == 3
+
+
+def _whole_array_push(spec, thetas, xs, ys, depth):
+    for _ in range(depth):
+        thetas, xs, ys, _ = solenoid.step_many(spec, thetas, xs, ys)
+    return thetas, xs, ys
+
+
+def test_fourier_summary_independent_of_threads(tmp_path, monkeypatch):
+    config = _fast_config(mu_samples=150_000)  # two full push chunks and a partial one
+    bodies = []
+    for workers in (1, 2):
+        monkeypatch.setattr(solenoid, "_worker_count", lambda w=workers: w)
+        run("fourier", config, tmp_path / str(workers))
+        bodies.append((tmp_path / str(workers) / "summary.json").read_bytes())
+    monkeypatch.setattr(fourier, "push_forward", _whole_array_push)
+    run("fourier", config, tmp_path / "whole")
+    bodies.append((tmp_path / "whole" / "summary.json").read_bytes())
+    assert bodies[0] == bodies[1] == bodies[2]
 
 
 def test_nonconc_and_expsum_artifacts(tmp_path):
@@ -168,6 +194,7 @@ def test_operation_error_exit_code(tmp_path):
         ("fourier", {"freq_base": 0.0}),
         ("nonconc", {"sigma_count": 1}),
         ("expsum", {"eta_count": 1}),
+        ("deviations", {"deviation_levels": []}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
@@ -176,6 +203,17 @@ def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad)
     out = tmp_path / "out"
     assert main([experiment, "--out", str(out), "--config", str(config)]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_python_m_runs_from_checkout(tmp_path):
+    src = Path(solenoidlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    argv = [sys.executable, "-m", "solenoidlab", "construct", "--k-max", "4", "--out", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "coefficients.json").exists()
 
 
 # every subcommand's flags and the config key each sets, as the parser had them

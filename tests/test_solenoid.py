@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from solenoidlab import solenoid
 from solenoidlab.circle_map import (
     circle_dist,
     coefficient_table,
@@ -13,10 +14,10 @@ from solenoidlab.circle_map import (
 )
 from solenoidlab.solenoid import (
     SolenoidPoint,
-    attract,
     bunching_margin,
     jacobian,
     periodic_orbit,
+    push_forward,
     step,
     step_many,
 )
@@ -162,14 +163,27 @@ def test_bunching_margin_perturbed(spec):
     assert margin < 1.0
 
 
-def test_attract_identity_and_contraction(spec):
-    p = SolenoidPoint(0.42, 0.3, -0.1)
-    assert attract(spec, p, 0) == p
-    a = attract(spec, SolenoidPoint(0.42, 0.9, 0.0), 20)
-    b = attract(spec, SolenoidPoint(0.42, -0.3, -0.8), 20)
-    assert a.theta == b.theta  # same angular history
-    assert abs(a.x - b.x) < 2 * 4.0**-20
-    assert abs(a.y - b.y) < 2 * 4.0**-20
+def test_push_forward_identity_and_contraction(spec):
+    p = ([0.42], [0.3], [-0.1])
+    assert [list(c) for c in push_forward(spec, *p, 0)] == list(p)
+    (ta, tb), (xa, xb), (ya, yb) = push_forward(spec, [0.42, 0.42], [0.9, -0.3], [0.0, -0.8], 20)
+    assert ta == tb  # same angular history
+    assert abs(xa - xb) < 2 * 4.0**-20
+    assert abs(ya - yb) < 2 * 4.0**-20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_push_forward_matches_serial_steps(spec, monkeypatch, workers):
+    monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(29)
+    n = 2 * solenoid._CHUNK + 777  # two full chunks and a partial one
+    start = (rng.random(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+    want = start
+    for _ in range(20):
+        want = step_many(spec, *want)[:3]
+    got = push_forward(spec, *start, 20)
+    for coord, g, w in zip("txy", got, want):
+        assert np.array_equal(g, w), coord
 
 
 def test_trajectory_rows(spec):
@@ -185,8 +199,7 @@ def test_trajectory_rows(spec):
     assert all(1.0 < r[3] < 3.0 for r in rows)
 
 
-def test_attract_deep_resolves_fiber(spec):
-    a = attract(spec, SolenoidPoint(0.1, 1.0, 0.0), 40)
-    b = attract(spec, SolenoidPoint(0.1, -1.0, 0.0), 40)
-    assert abs(a.x - b.x) <= np.finfo(float).eps
-    assert abs(a.y - b.y) <= np.finfo(float).eps
+def test_push_forward_deep_resolves_fiber(spec):
+    _, (xa, xb), (ya, yb) = push_forward(spec, [0.1, 0.1], [1.0, -1.0], [0.0, 0.0], 40)
+    assert abs(xa - xb) <= np.finfo(float).eps
+    assert abs(ya - yb) <= np.finfo(float).eps
