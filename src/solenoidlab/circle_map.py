@@ -27,9 +27,7 @@ __all__ = [
     "bump_chi",
     "g_eval",
     "f_eval",
-    "f_lift",
     "circle_dist",
-    "reduce_mod1",
     "periodic_theta",
     "lyapunov_periodic",
     "lyapunov_target",
@@ -168,10 +166,6 @@ class PerturbationSpec:
     def is_linear(self) -> bool:
         return self.n_max == 1
 
-    def centers(self) -> np.ndarray:
-        """Lattice centers 1/(2^N - 1) for N = 2..n_max as doubles."""
-        return np.array([1.0 / (2.0**n - 1.0) for n in range(2, self.n_max + 1)])
-
     def to_json(self) -> str:
         doc = {
             "n_max": self.n_max,
@@ -236,11 +230,6 @@ def lyapunov_target(spec: PerturbationSpec, N: int) -> float:
 # map evaluation
 # ---------------------------------------------------------------------------
 
-def reduce_mod1(x):
-    """Canonical representative in [0, 1)."""
-    return np.asarray(x, dtype=float) % 1.0 if np.ndim(x) else float(x) % 1.0
-
-
 def circle_dist(a, b):
     """Distance on R/Z: min(|a-b|, 1-|a-b|) after reduction."""
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
@@ -285,15 +274,6 @@ def f_eval(spec: PerturbationSpec, x):
     return fx, fp
 
 
-def f_lift(spec: PerturbationSpec, x):
-    """Lift value 2x + g(x) without reduction, for x in [0, 1]."""
-    scalar = np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    g, _ = g_eval(spec, np.clip(xv, 0.0, 1.0) % 1.0)
-    out = 2.0 * xv + g
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # periodic points
 # ---------------------------------------------------------------------------
@@ -322,8 +302,7 @@ def lyapunov_periodic(spec: PerturbationSpec, theta: float, N: int) -> float:
     """Orbit-averaged log-derivative (1/N) sum ln f'(f^k theta) along an N-periodic orbit."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    y = reduce_mod1(theta)
-    start = y
+    start = y = float(theta) % 1.0
     total = 0.0
     for _ in range(N):
         fy, fp = f_eval(spec, y)

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .circle_map import coefficient_table, lyapunov_target, verify_lattice
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
-from .solenoid import _worker_count, periodic_orbit, step
+from .solenoid import _worker_count, periodic_orbit, trajectory_rows
 from .symbolic import cylinder_rows
 from .thermo import (
     EquilibriumData,
@@ -95,13 +95,11 @@ def resolve_config(overrides: dict | None = None, config_path: str | None = None
             loaded = json.load(fh)
         if isinstance(loaded, dict) and "config" in loaded and "experiment" in loaded:
             loaded = loaded["config"]  # accept an emitted manifest directly
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
     for key, value in (overrides or {}).items():
         if value is not None:
             config[key] = value
+    _check_keys(config)
     if (
         config["zeta_context"] == DEFAULTS["zeta_context"]
         and config["zeta_n"] != DEFAULTS["zeta_n"]
@@ -112,12 +110,28 @@ def resolve_config(overrides: dict | None = None, config_path: str | None = None
     return config
 
 
+def _type_ok(value, default) -> bool:
+    """value has default's type; an int passes for a float, a bool never, a list entry-wise."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _check_keys(config: dict) -> None:
+    """Every key of DEFAULTS is present, no other key is, and each value has its default's type."""
+    if set(config) != set(DEFAULTS):
+        raise ConfigError(f"unknown or missing config keys: {sorted(set(config) ^ set(DEFAULTS))}")
+    for key, default in DEFAULTS.items():
+        if not _type_ok(config[key], default):
+            raise ConfigError(f"{key} = {config[key]!r} does not have the type of {default!r}")
+
+
 def _validate(config: dict) -> None:
-    unknown = set(config) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(config)
     m = config["grid_m"]
-    if not isinstance(m, int) or m < 1024 or m & (m - 1):
+    if m < 1024 or m & (m - 1):
         raise ConfigError(f"grid_m must be a power of two >= 1024, got {m}")
     for key, low in _MINIMUM.items():
         if config[key] < low:
@@ -156,9 +170,12 @@ def _build_potential(config: dict, spec) -> GridFunction:
     path = Path(kind)
     if not path.exists():
         raise ConfigError(f"potential must be 'mme', 'srb', or a JSON file; got {kind!r}")
-    values = np.asarray(json.load(open(path)), dtype=float)
+    with open(path) as fh:
+        values = np.asarray(json.load(fh), dtype=float)
     if values.shape != (m,):
         raise ConfigError(f"custom potential has {values.size} values, expected {m}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("custom potential holds a non-finite value")
     return GridFunction(values)
 
 
@@ -196,10 +213,7 @@ def _run_construct(config: dict, out: Path, _eq: None) -> None:
     _write_json(out / "lattice.json", asdict(report))
     for N in config["orbit_periods"]:
         orbit = periodic_orbit(spec, N)
-        rows = []
-        for p in orbit.points:
-            _, deriv = step(spec, p)
-            rows.append((p.theta, p.x, p.y, deriv))
+        rows = trajectory_rows(spec, orbit.points[0], N - 1)
         _write_csv(out / f"orbit_{N}.csv", ["theta", "x", "y", "unstable_deriv"], rows)
 
 

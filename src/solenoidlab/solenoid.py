@@ -58,13 +58,8 @@ class PeriodicOrbit:
 
 def step(spec: PerturbationSpec, p: SolenoidPoint) -> tuple[SolenoidPoint, float]:
     """One application of F; also returns the unstable derivative f'(theta)."""
-    ftheta, fprime = f_eval(spec, p.theta)
-    image = SolenoidPoint(
-        ftheta,
-        0.25 * p.x + _QUARTER_PI_INV * np.cos(2.0 * np.pi * p.theta),
-        0.25 * p.y + _QUARTER_PI_INV * np.sin(2.0 * np.pi * p.theta),
-    )
-    return image, fprime
+    theta, x, y, fprime = step_many(spec, p.theta, p.x, p.y)
+    return SolenoidPoint(float(theta), float(x), float(y)), float(fprime)
 
 
 def step_many(spec, thetas, xs, ys):
@@ -168,10 +163,9 @@ def periodic_orbit(
         )
 
     points = [p]
-    for _ in range(N - 1):
-        nxt, _ = step(spec, points[-1])
-        points.append(nxt)
-    closing, _ = step(spec, points[-1])
+    for _ in range(N):
+        points.append(step(spec, points[-1])[0])
+    closing = points.pop()
     residual = max(
         circle_dist(closing.theta, p.theta),
         abs(closing.x - p.x),
@@ -191,11 +185,10 @@ def trajectory_rows(spec: PerturbationSpec, p: SolenoidPoint, K: int):
     if K < 0:
         raise ValueError("K must be >= 0")
     rows = []
-    q = p
     for _ in range(K + 1):
-        image, deriv = step(spec, q)
-        rows.append((q.theta, q.x, q.y, deriv))
-        q = image
+        image, deriv = step(spec, p)
+        rows.append((*p, deriv))
+        p = image
     return rows
 
 

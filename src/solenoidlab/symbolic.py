@@ -35,10 +35,10 @@ __all__ = [
     "apply_word",
     "cylinder",
     "level_endpoints",
-    "level_anchors",
     "endpoint_anchors",
     "anchor_birkhoff_sums",
     "tree_birkhoff_sums",
+    "log_expansion_sums",
     "cylinder_rows",
     "word_index",
     "index_word",
@@ -204,13 +204,6 @@ def endpoint_anchors(pts: np.ndarray) -> np.ndarray:
     return np.where(idx & 1 == 0, pts[idx], pts[idx + 1])
 
 
-def level_anchors(spec: PerturbationSpec, n: int) -> np.ndarray:
-    """Anchor points of all level-n cylinders in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return endpoint_anchors(level_endpoints(spec, n))
-
-
 def tree_birkhoff_sums(pts: np.ndarray, fn) -> np.ndarray:
     """Birkhoff sums S_n fn at every anchor of the level-n tree pts = level_endpoints(spec, n).
 
@@ -237,6 +230,11 @@ def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
     return tree_birkhoff_sums(level_endpoints(spec, n), fn)
 
 
+def log_expansion_sums(spec: PerturbationSpec, pts: np.ndarray) -> np.ndarray:
+    """S_n ln f' at every anchor of the level-n tree pts = level_endpoints(spec, n)."""
+    return tree_birkhoff_sums(pts, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1]))
+
+
 def cylinder_rows(spec: PerturbationSpec, n: int):
     """Level-n cylinder table: (word, lo, hi, anchor, deriv_at_anchor) rows.
 
@@ -248,10 +246,7 @@ def cylinder_rows(spec: PerturbationSpec, n: int):
         raise ValueError("n must be in 1..16")
     pts = level_endpoints(spec, n)
     anchors = endpoint_anchors(pts)
-    sums = tree_birkhoff_sums(
-        pts, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1])
-    )
-    derivs = np.exp(-sums)
+    derivs = np.exp(-log_expansion_sums(spec, pts))
     rows = []
     for i in range(1 << n):
         word = "".join(str(b) for b in index_word(i, n))

@@ -14,13 +14,14 @@ reads off the resulting EquilibriumData.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .circle_map import PerturbationSpec, f_eval
-from .symbolic import endpoint_anchors, inverse_branch, level_endpoints, tree_birkhoff_sums
+from .symbolic import endpoint_anchors, inverse_branch, level_endpoints
+from .symbolic import log_expansion_sums, tree_birkhoff_sums
 
 __all__ = [
     "GridFunction",
@@ -32,7 +33,6 @@ __all__ = [
     "mme_potential",
     "srb_potential",
     "transfer_apply",
-    "transfer_adjoint_apply",
     "transfer_matrix",
     "solve_equilibrium",
     "measure_cdf",
@@ -73,17 +73,18 @@ class GridFunction:
     def constant(cls, c: float, m: int) -> "GridFunction":
         return cls(np.full(m, float(c)))
 
-    @classmethod
-    def from_callable(cls, fn: Callable, m: int) -> "GridFunction":
-        return cls(np.asarray(fn(np.arange(m) / m), dtype=float))
+
+def _cell(x, m: int):
+    """Linear stencil of x on m periodic nodes: cell j, its right node j + 1 mod m,
+    and the offset of x within the cell, in [0, 1)."""
+    t = (np.asarray(x, dtype=float) % 1.0) * m
+    j = np.floor(t).astype(int) % m
+    return j, (j + 1) % m, t - np.floor(t)
 
 
 def _interp_periodic(values: np.ndarray, x):
-    m = values.shape[0]
-    t = (np.asarray(x, dtype=float) % 1.0) * m
-    j = np.floor(t).astype(int) % m
-    frac = t - np.floor(t)
-    out = values[j] * (1.0 - frac) + values[(j + 1) % m] * frac
+    j, right, frac = _cell(x, values.shape[0])
+    out = values[j] * (1.0 - frac) + values[right] * frac
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -108,14 +109,8 @@ def srb_potential(spec: PerturbationSpec, m: int) -> GridFunction:
 
 def _preimage_data(spec: PerturbationSpec, m: int):
     """Preimage points of every node under both branches, with f' there."""
-    x = nodes(m)
-    ys = []
-    fps = []
-    for a in (0, 1):
-        y, d = inverse_branch(spec, a, x)
-        ys.append(y % 1.0)
-        fps.append(1.0 / d)
-    return x, ys, fps
+    branches = [inverse_branch(spec, a, nodes(m)) for a in (0, 1)]
+    return [y % 1.0 for y, _ in branches], [1.0 / d for _, d in branches]
 
 
 def transfer_matrix(
@@ -128,7 +123,7 @@ def transfer_matrix(
     over the two grid nodes bracketing y.
     """
     m = potential.m
-    _, ys, fps = _preimage_data(spec, m)
+    ys, fps = _preimage_data(spec, m)
     dtype = complex if twist else float
     rows = np.tile(np.arange(m), 4)
     cols = np.empty(4 * m, dtype=int)
@@ -137,14 +132,12 @@ def transfer_matrix(
         w = np.exp(potential(y))
         if twist:
             w = w * np.exp(1j * twist * np.log(fp))
-        t = y * m
-        j = np.floor(t).astype(int) % m
-        frac = t - np.floor(t)
+        j, right, frac = _cell(y, m)
         sl = slice(2 * k * m, (2 * k + 1) * m)
         sr = slice((2 * k + 1) * m, (2 * k + 2) * m)
         cols[sl] = j
         data[sl] = w * (1.0 - frac)
-        cols[sr] = (j + 1) % m
+        cols[sr] = right
         data[sr] = w * frac
     return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
 
@@ -155,21 +148,11 @@ def transfer_apply(
     """L_potential h on the shared grid: sum over the two preimages of each node."""
     if potential.m != h.m:
         raise ValueError("potential and h must share the grid size")
-    _, ys, _ = _preimage_data(spec, potential.m)
+    ys, _ = _preimage_data(spec, potential.m)
     out = np.zeros(potential.m)
     for y in ys:
         out += np.exp(potential(y)) * h(y)
     return GridFunction(out)
-
-
-def transfer_adjoint_apply(
-    spec: PerturbationSpec, potential: GridFunction, rho: GridFunction
-) -> GridFunction:
-    """Discrete adjoint L*_potential acting on a density's grid values."""
-    if potential.m != rho.m:
-        raise ValueError("potential and rho must share the grid size")
-    mat = transfer_matrix(spec, potential)
-    return GridFunction(mat.T @ rho.values)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +189,6 @@ class EquilibriumData:
 def solve_equilibrium(
     spec: PerturbationSpec,
     psi: GridFunction,
-    m: int | None = None,
     tol: float = 1e-12,
     max_iter: int = 10_000,
 ) -> EquilibriumData:
@@ -216,11 +198,7 @@ def solve_equilibrium(
     gives the invariant density; both are renormalized each sweep and the
     loop stops when successive Rayleigh estimates agree to tol.
     """
-    if m is None:
-        m = psi.m
-    if m != psi.m:
-        raise ValueError(f"psi lives on m={psi.m} but m={m} was requested")
-
+    m = psi.m
     mat = transfer_matrix(spec, psi)
     mat_t = mat.T.tocsr()
     h = np.ones(m)
@@ -333,14 +311,6 @@ def _phi_birkhoff(eq: EquilibriumData, pts: np.ndarray) -> np.ndarray:
     return tree_birkhoff_sums(pts, lambda x: phi(np.asarray(x) % 1.0))
 
 
-def _tau_birkhoff(eq: EquilibriumData, pts: np.ndarray) -> np.ndarray:
-    """S_n ln f' at the anchors of the level-n tree pts."""
-    spec = eq.spec
-    return tree_birkhoff_sums(
-        pts, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1])
-    )
-
-
 def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
     """Extremes over level-n cylinders of nu(U_w) / e^{S_n phi(anchor)}.
 
@@ -451,7 +421,7 @@ def large_deviation_profile(
             pts = tree[:: 1 << (n_tree - n)]
             masses = np.diff(measure_cdf(eq, pts))
             bad = _outside_windows(
-                eq, _tau_birkhoff(eq, pts), _phi_birkhoff(eq, pts), n, epsilon
+                eq, log_expansion_sums(eq.spec, pts), _phi_birkhoff(eq, pts), n, epsilon
             )
             frac = float(masses[bad].sum())
         else:

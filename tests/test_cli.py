@@ -176,6 +176,16 @@ def test_custom_potential_wrong_length(tmp_path):
         run("equilibrium", _fast_config(potential=str(pot)), tmp_path)
 
 
+def test_non_finite_custom_potential_rejected_before_artifacts(tmp_path):
+    m = 1 << 10
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps([0.0] * (m - 1) + [float("nan")]))
+    out = tmp_path / "out"
+    code = main(["equilibrium", "--out", str(out), "--grid", str(m), "--potential", str(pot)])
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_operation_error_exit_code(tmp_path):
     pot = tmp_path / "pot.json"
     pot.write_text("{not valid json")
@@ -195,6 +205,13 @@ def test_operation_error_exit_code(tmp_path):
         ("nonconc", {"sigma_count": 1}),
         ("expsum", {"eta_count": 1}),
         ("deviations", {"deviation_levels": []}),
+        ("fourier", {"seed": "x"}),
+        ("fourier", {"mu_samples": 2000.5}),
+        ("gibbs", {"gibbs_levels": [8.5]}),
+        ("construct", {"n_max": True}),
+        ("twisted", {"twist_t": "100"}),
+        ("nonconc", {"zeta_n": "6"}),
+        ("construct", {"orbit_periods": 3}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

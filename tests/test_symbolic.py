@@ -1,18 +1,28 @@
 """Inverse branches, word composition, and cylinder tilings."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solenoidlab import symbolic
-from solenoidlab.circle_map import coefficient_table, f_eval, f_lift, linear_spec
+from solenoidlab.circle_map import (
+    BUMP_KINDS,
+    circle_dist,
+    coefficient_table,
+    f_eval,
+    g_eval,
+    linear_spec,
+)
 from solenoidlab.symbolic import (
     BranchSolverError,
     anchor_birkhoff_sums,
     apply_word,
     cylinder,
+    endpoint_anchors,
     index_word,
     inverse_branch,
-    level_anchors,
     level_endpoints,
     word_index,
 )
@@ -169,13 +179,14 @@ def test_expansion(spec):
         word = tuple(rng.integers(0, 2, size=rng.integers(2, 10)))
         cyl = cylinder(spec, word)
         shifted = cylinder(spec, word[1:])
-        assert f_lift(spec, cyl.lo) - word[0] == pytest.approx(shifted.lo, abs=1e-12)
-        assert f_lift(spec, cyl.hi) - word[0] == pytest.approx(shifted.hi, abs=1e-12)
+        for x, target in ((cyl.lo, shifted.lo), (cyl.hi, shifted.hi)):
+            lift = 2.0 * x + g_eval(spec, x)[0]
+            assert lift - word[0] == pytest.approx(target, abs=1e-12)
 
 
 def test_level_anchor_consistency(spec):
     n = 6
-    anchors = level_anchors(spec, n)
+    anchors = endpoint_anchors(level_endpoints(spec, n))
     for idx in (0, 5, 21, 63):
         word = index_word(idx, n)
         cyl = cylinder(spec, word)
@@ -187,7 +198,7 @@ def test_anchor_birkhoff_matches_direct_iteration(spec):
     n = 8
     fn = lambda pts: np.log(f_eval(spec, np.asarray(pts) % 1.0)[1])
     sums = anchor_birkhoff_sums(spec, n, fn)
-    anchors = level_anchors(spec, n)
+    anchors = endpoint_anchors(level_endpoints(spec, n))
     rng = np.random.default_rng(31)
     for idx in rng.integers(0, 1 << n, size=12):
         x = anchors[idx]
@@ -197,3 +208,42 @@ def test_anchor_birkhoff_matches_direct_iteration(spec):
             total += np.log(fp)
             x = fx
         assert sums[idx] == pytest.approx(total, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# property tests (hypothesis, derandomized so every run draws the same cases)
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None)
+_SPECS = {kind: coefficient_table(5, kind) for kind in BUMP_KINDS}
+
+
+@lru_cache(maxsize=None)
+def _tree_anchors(kind, n):
+    return endpoint_anchors(level_endpoints(_SPECS[kind], n))
+
+
+def _near_bump(kind, n, u):
+    # image of a point inside the order-n bump, so one preimage sees g != 0
+    return f_eval(_SPECS[kind], 1.0 / (2.0**n - 1.0) + u * 8.0**-n)[0]
+
+
+_X = st.one_of(
+    st.floats(0.0, 1.0),
+    st.builds(_near_bump, st.sampled_from(BUMP_KINDS), st.integers(2, 5), st.floats(-0.5, 0.5)),
+)
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(BUMP_KINDS), a=st.sampled_from((0, 1)), x=_X)
+def test_property_inverse_branch_inverts_f(kind, a, x):
+    y, _ = inverse_branch(_SPECS[kind], a, x)
+    assert 0.5 * a <= y <= 0.5 * (a + 1)
+    assert circle_dist(f_eval(_SPECS[kind], y)[0], x) < 1e-14
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(BUMP_KINDS), word=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
+def test_property_tree_anchor_is_cylinder_anchor(kind, word):
+    anchors = _tree_anchors(kind, len(word))
+    assert anchors[word_index(word)] == pytest.approx(cylinder(_SPECS[kind], word).anchor, abs=1e-13)
