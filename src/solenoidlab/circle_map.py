@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "PerturbationSpec",
     "LatticeReport",
-    "LatticeError",
     "PeriodicityError",
     "BUMP_KINDS",
     "coefficient_table",
@@ -33,10 +32,6 @@ __all__ = [
     "lyapunov_target",
     "verify_lattice",
 ]
-
-
-class LatticeError(Exception):
-    """A lattice disjointness or exclusion check failed."""
 
 
 class PeriodicityError(Exception):
@@ -278,11 +273,14 @@ def f_eval(spec: PerturbationSpec, x):
 # periodic points
 # ---------------------------------------------------------------------------
 
-def periodic_theta(spec: PerturbationSpec, N: int, tol: float = 1e-12) -> tuple[float, float]:
+_PERIODIC_TOL = 1e-12
+
+
+def periodic_theta(spec: PerturbationSpec, N: int) -> tuple[float, float]:
     """Lattice periodic point 1/(2^N - 1) and its orbit-closure residual.
 
-    Raises PeriodicityError if f^N fails to return within tol, which would
-    signal either a broken coefficient table or precision loss.
+    Raises PeriodicityError if f^N fails to return within _PERIODIC_TOL,
+    which would signal either a broken coefficient table or precision loss.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -291,9 +289,9 @@ def periodic_theta(spec: PerturbationSpec, N: int, tol: float = 1e-12) -> tuple[
     for _ in range(N):
         y, _ = f_eval(spec, y)
     residual = circle_dist(y, theta)
-    if residual >= tol:
+    if residual >= _PERIODIC_TOL:
         raise PeriodicityError(
-            f"f^{N}(1/(2^{N}-1)) missed its start by {residual:.3e} (tol {tol:.1e})"
+            f"f^{N}(1/(2^{N}-1)) missed its start by {residual:.3e} (tol {_PERIODIC_TOL:.1e})"
         )
     return theta, residual
 

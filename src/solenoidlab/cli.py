@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -111,12 +112,14 @@ def resolve_config(overrides: dict | None = None, config_path: str | None = None
 
 
 def _type_ok(value, default) -> bool:
-    """value has default's type; an int passes for a float, a bool never, a list entry-wise."""
+    """value has default's type: an int or finite float for a float, no bool, lists entry-wise."""
     if isinstance(value, bool):
         return False
     if isinstance(default, list):
         return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+    if isinstance(default, float):
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, type(default))
 
 
 def _check_keys(config: dict) -> None:
@@ -125,7 +128,9 @@ def _check_keys(config: dict) -> None:
         raise ConfigError(f"unknown or missing config keys: {sorted(set(config) ^ set(DEFAULTS))}")
     for key, default in DEFAULTS.items():
         if not _type_ok(config[key], default):
-            raise ConfigError(f"{key} = {config[key]!r} does not have the type of {default!r}")
+            raise ConfigError(
+                f"{key} = {config[key]!r} is not finite or lacks the type of {default!r}"
+            )
 
 
 def _validate(config: dict) -> None:
@@ -158,25 +163,32 @@ def _validate(config: dict) -> None:
         raise ConfigError("gibbs_levels must be a non-empty list of levels in 1..16")
     if any(N < 1 for N in config["orbit_periods"]):
         raise ConfigError("orbit_periods must be >= 1")
+    if config["potential"] not in ("mme", "srb"):
+        _custom_potential(config)
 
 
-def _build_potential(config: dict, spec) -> GridFunction:
+def _custom_potential(config: dict) -> np.ndarray:
+    """The grid in the potential file: grid_m finite values, else ConfigError."""
     m = config["grid_m"]
     kind = config["potential"]
-    if kind == "mme":
-        return mme_potential(m)
-    if kind == "srb":
-        return srb_potential(spec, m)
-    path = Path(kind)
-    if not path.exists():
+    if not Path(kind).exists():
         raise ConfigError(f"potential must be 'mme', 'srb', or a JSON file; got {kind!r}")
-    with open(path) as fh:
+    with open(kind) as fh:
         values = np.asarray(json.load(fh), dtype=float)
     if values.shape != (m,):
         raise ConfigError(f"custom potential has {values.size} values, expected {m}")
     if not np.all(np.isfinite(values)):
         raise ConfigError("custom potential holds a non-finite value")
-    return GridFunction(values)
+    return values
+
+
+def _build_potential(config: dict, spec) -> GridFunction:
+    kind = config["potential"]
+    if kind == "mme":
+        return mme_potential(config["grid_m"])
+    if kind == "srb":
+        return srb_potential(spec, config["grid_m"])
+    return GridFunction(_custom_potential(config))
 
 
 # ---------------------------------------------------------------------------

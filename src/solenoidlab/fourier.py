@@ -1,11 +1,10 @@
 """Direct measurement of Fourier decay.
 
-The circle-factor transform nu_hat(t) is a deterministic trapezoid
-quadrature against the equilibrium density (spectrally accurate for the
-periodic integrand as long as the grid resolves the frequency); the
-solenoid transform mu_hat(xi) is Monte Carlo over samples pushed onto the
-attractor, since the invariant measure there has no density.  Power-law
-exponents come from a log-log least-squares fit with a noise floor.
+The circle-factor transform nu_hat(t) is integrated in closed form per cell
+against the piecewise-linear equilibrium density (trustworthy while the grid
+resolves the frequency); the solenoid transform mu_hat(xi) is Monte Carlo
+over samples pushed onto the attractor, since the invariant measure there
+has no density.  Power-law exponents come from a log-log least-squares fit.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .solenoid import push_forward
-from .thermo import EquilibriumData, GridFunction, nodes, sample
+from .thermo import EquilibriumData, nodes, sample
 
 __all__ = [
     "DecaySeries",
@@ -32,33 +31,15 @@ def dyadic_frequencies(base: float = 100.0, count: int = 11) -> np.ndarray:
     return base * 2.0 ** np.arange(count)
 
 
-def nu_hat(
-    eq: EquilibriumData,
-    t: float,
-    phase: GridFunction | None = None,
-    amplitude: GridFunction | None = None,
-) -> complex:
-    """Transform of the factor measure: integral of e^{i t phase} amplitude d nu.
+def nu_hat(eq: EquilibriumData, t: float) -> complex:
+    """Transform of the factor measure: integral of e^{i t theta} d nu.
 
-    With the default identity phase and constant-one amplitude the integral
-    of e^{i t theta} against the piecewise-linear density is evaluated in
+    The integral against the piecewise-linear density is evaluated in
     closed form per cell, so the only error is the density's own
     resolution; frequencies are trustworthy up to about 2 pi m / 8.
-    A custom phase or a localized amplitude window falls back to the
-    grid-node quadrature.
     """
-    rho = eq.density.values
-    if phase is not None or amplitude is not None:
-        ph = nodes(eq.m) if phase is None else phase.values
-        amp = 1.0 if amplitude is None else amplitude.values
-        if phase is not None and phase.values.shape != rho.shape:
-            raise ValueError("phase grid must match the equilibrium grid")
-        if amplitude is not None and amplitude.values.shape != rho.shape:
-            raise ValueError("amplitude grid must match the equilibrium grid")
-        return complex(np.mean(np.exp(1j * t * ph) * amp * rho))
-
     m = eq.m
-    rho = rho / rho.mean()
+    rho = eq.density.values / eq.density.values.mean()
     if t == 0.0:
         return complex(1.0)
     h = 1.0 / m
@@ -67,7 +48,7 @@ def nu_hat(
         i0 = (np.exp(1j * th) - 1.0) / (1j * t)
         i1 = h * np.exp(1j * th) / (1j * t) - (np.exp(1j * th) - 1.0) / (1j * t) ** 2
     else:
-        # series in th to avoid cancellation at small phase-per-cell
+        # series in th to avoid cancellation at a small angle per cell
         i0 = h * (1.0 + 1j * th / 2.0 - th**2 / 6.0 - 1j * th**3 / 24.0)
         i1 = h * h * (0.5 + 1j * th / 3.0 - th**2 / 8.0 - 1j * th**3 / 30.0)
     drho = np.roll(rho, -1) - rho
@@ -126,24 +107,18 @@ def mu_hat(
 
 @dataclass(frozen=True)
 class DecaySeries:
-    """Paired (frequency, modulus) samples with the fitted power-law exponent."""
+    """The fitted power-law exponent of a (frequency, modulus) series."""
 
-    frequencies: np.ndarray
-    moduli: np.ndarray
     exponent: float
     stderr: float
     n_used: int
 
 
-def decay_exponent(
-    series: Sequence[tuple[float, float]],
-    point_stderr: Sequence[float] | None = None,
-) -> DecaySeries:
+def decay_exponent(series: Sequence[tuple[float, float]]) -> DecaySeries:
     """Least-squares slope of ln modulus against ln frequency.
 
-    Moduli at or below three times their own standard error are censored
-    (Monte-Carlo floor) rather than clamped; at least four points must
-    survive.  Requires at least eight frequencies spanning two decades.
+    Zero moduli are dropped; at least four points must remain.  Requires
+    at least eight frequencies spanning two decades.
     """
     freqs = np.array([f for f, _ in series], dtype=float)
     mods = np.array([m for _, m in series], dtype=float)
@@ -155,13 +130,8 @@ def decay_exponent(
         raise ValueError("frequencies must span at least two decades")
 
     keep = mods > 0.0
-    if point_stderr is not None:
-        errs = np.asarray(point_stderr, dtype=float)
-        if errs.shape != mods.shape:
-            raise ValueError("point_stderr must match the series length")
-        keep &= mods > 3.0 * errs
     if keep.sum() < 4:
-        raise ValueError(f"only {int(keep.sum())} points above the noise floor")
+        raise ValueError(f"only {int(keep.sum())} points have a positive modulus")
 
     x = np.log(freqs[keep])
     y = np.log(mods[keep])
@@ -169,10 +139,4 @@ def decay_exponent(
     resid = y - (slope * x + intercept)
     dof = max(keep.sum() - 2, 1)
     slope_err = float(np.sqrt(resid @ resid / dof / ((x - x.mean()) ** 2).sum()))
-    return DecaySeries(
-        frequencies=freqs,
-        moduli=mods,
-        exponent=float(slope),
-        stderr=slope_err,
-        n_used=int(keep.sum()),
-    )
+    return DecaySeries(exponent=float(slope), stderr=slope_err, n_used=int(keep.sum()))

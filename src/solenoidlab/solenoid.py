@@ -37,6 +37,8 @@ _QUARTER_PI_INV = 1.0 / (4.0 * np.pi)
 # stay in cache across all its steps; the size is fixed so that the output
 # cannot depend on how many threads share the chunks.
 _CHUNK = 1 << 16
+_FIBER_TOL = 1e-13  # periodic_orbit: a sweep moving the fiber less than this stops
+_FIBER_SWEEPS = 200  # periodic_orbit: sweeps before FiberConvergenceError
 
 
 class FiberConvergenceError(Exception):
@@ -132,34 +134,29 @@ def jacobian(spec: PerturbationSpec, p: SolenoidPoint) -> np.ndarray:
     )
 
 
-def periodic_orbit(
-    spec: PerturbationSpec,
-    N: int,
-    tol: float = 1e-13,
-    max_sweeps: int = 200,
-) -> PeriodicOrbit:
+def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
     """Periodic orbit of F over the angular point 0 (N = 1) or 1/(2^N - 1).
 
     The fiber coordinates come from contraction iteration of F^N starting on
     the central fiber; each sweep shrinks errors by 4^-N so convergence to
-    tol is geometric.
+    _FIBER_TOL is geometric.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     theta0 = 0.0 if N == 1 else 1.0 / (2.0**N - 1.0)
 
     p = SolenoidPoint(theta0, 0.0, 0.0)
-    for _ in range(max_sweeps):
+    for _ in range(_FIBER_SWEEPS):
         q = p
         for _ in range(N):
             q, _ = step(spec, q)
         moved = max(abs(q.x - p.x), abs(q.y - p.y))
         p = SolenoidPoint(theta0, q.x, q.y)
-        if moved < tol:
+        if moved < _FIBER_TOL:
             break
     else:
         raise FiberConvergenceError(
-            f"fiber iteration for period {N} did not settle within {max_sweeps} sweeps"
+            f"fiber iteration for period {N} did not settle within {_FIBER_SWEEPS} sweeps"
         )
 
     points = [p]

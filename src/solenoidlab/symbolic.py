@@ -57,10 +57,10 @@ class BranchSolverError(Exception):
 
 
 def _check_word(w: Sequence[int]) -> Word:
-    word = tuple(int(s) for s in w)
+    word = tuple(w)
     if any(s not in (0, 1) for s in word):
         raise ValueError(f"word symbols must be 0 or 1, got {w!r}")
-    return word
+    return tuple(int(s) for s in word)
 
 
 def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray):
@@ -91,20 +91,10 @@ def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray):
 def inverse_branch(spec: PerturbationSpec, a: int, x):
     """Preimage of x under f in the half selected by symbol a, with |g_a'| = 1/f'.
 
-    x (scalar or array) is a lift coordinate in [0, 1]; the result lies in
-    [a/2, (a+1)/2] and satisfies f(y) = x to residual below 1e-14.
+    The one-symbol apply_word: the result lies in [a/2, (a+1)/2] and
+    satisfies f(y) = x to residual below 1e-14.
     """
-    if a not in (0, 1):
-        raise ValueError("symbol must be 0 or 1")
-    scalar = np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xv >= 0.0) & (xv <= 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    y, gp = _solve_branch(spec, np.full_like(xv, float(a)), xv)
-    deriv = 1.0 / (2.0 + gp)
-    if scalar:
-        return float(y[0]), float(deriv[0])
-    return y, deriv
+    return apply_word(spec, (a,), x)
 
 
 def _apply_symbols(spec, symbols_per_step: Iterable, x: np.ndarray):
@@ -121,13 +111,16 @@ def _apply_symbols(spec, symbols_per_step: Iterable, x: np.ndarray):
 def apply_word(spec: PerturbationSpec, w: Sequence[int], x):
     """Composed inverse branch g_w(x) and its chain-rule derivative.
 
-    For w = w_1 ... w_n the branches apply right to left, so the image lies
-    in the cylinder of w and the derivative is the product of 1/f' along
-    the returned point's forward orbit.  The empty word is the identity.
+    x (scalar or array) is a lift coordinate in [0, 1].  For w = w_1 ... w_n
+    the branches apply right to left, so the image lies in the cylinder of w
+    and the derivative is the product of 1/f' along the returned point's
+    forward orbit.  The empty word is the identity.
     """
     word = _check_word(w)
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):
+        raise ValueError("x must lie in [0, 1]")
     y, deriv = _apply_symbols(spec, reversed(word), xv)
     if scalar:
         return float(y[0]), float(deriv[0])

@@ -186,17 +186,17 @@ class EquilibriumData:
         return float(np.mean(np.asarray(values) * self.density.values))
 
 
-def solve_equilibrium(
-    spec: PerturbationSpec,
-    psi: GridFunction,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> EquilibriumData:
+_EIG_TOL = 1e-12
+_EIG_SWEEPS = 10_000
+
+
+def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumData:
     """Leading eigendata of L_psi by simultaneous power iteration.
 
     Forward iteration gives the eigenfunction h and e^P, transpose iteration
     gives the invariant density; both are renormalized each sweep and the
-    loop stops when successive Rayleigh estimates agree to tol.
+    loop stops when successive Rayleigh estimates agree to _EIG_TOL, or
+    raises after _EIG_SWEEPS sweeps.
     """
     m = psi.m
     mat = transfer_matrix(spec, psi)
@@ -204,18 +204,18 @@ def solve_equilibrium(
     h = np.ones(m)
     rho = np.ones(m)
     lam_prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(_EIG_SWEEPS):
         h_new = mat @ h
         rho_new = mat_t @ rho
         lam = float(h_new @ rho / (h @ rho))
         h = h_new / h_new.max()
         rho = rho_new / rho_new.mean()
-        if abs(lam - lam_prev) < tol:
+        if abs(lam - lam_prev) < _EIG_TOL:
             break
         lam_prev = lam
     else:
         raise SpectralConvergenceError(
-            f"power iteration did not converge in {max_iter} sweeps (tol {tol:.1e})"
+            f"power iteration did not converge in {_EIG_SWEEPS} sweeps (tol {_EIG_TOL:.1e})"
         )
 
     if h.min() <= 0.0:
@@ -235,16 +235,16 @@ def solve_equilibrium(
     mat_phi_t = transfer_matrix(spec, phi).T.tocsr()
     dens = h * rho
     dens /= dens.mean()
-    for _ in range(max_iter):
+    for _ in range(_EIG_SWEEPS):
         dens_new = mat_phi_t @ dens
         dens_new /= dens_new.mean()
         delta = np.max(np.abs(dens_new - dens))
         dens = dens_new
-        if delta < tol:
+        if delta < _EIG_TOL:
             break
     else:
         raise SpectralConvergenceError(
-            f"invariant-density iteration did not converge in {max_iter} sweeps"
+            f"invariant-density iteration did not converge in {_EIG_SWEEPS} sweeps"
         )
 
     density = GridFunction(dens)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbolic import Word, _apply_symbols, _check_word
+from .symbolic import _apply_symbols, _check_word
 from .thermo import EquilibriumData, transfer_matrix
 
 __all__ = [
@@ -60,10 +60,7 @@ class ZetaTable:
     canonical anchor of the half-interval fixed by b's final symbol.
     """
 
-    n: int
-    context: Word
     values: np.ndarray
-    lambda_used: float
 
     @property
     def size(self) -> int:
@@ -92,7 +89,7 @@ def zeta_table(eq: EquilibriumData, context: Sequence[int], n: int) -> ZetaTable
     _, deriv = _apply_symbols(eq.spec, steps, start)
 
     values = np.exp(2.0 * eq.lyapunov * n) * deriv
-    return ZetaTable(n=n, context=ctx, values=values, lambda_used=eq.lyapunov)
+    return ZetaTable(values)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +164,11 @@ def _product_distribution(tables: Sequence[ZetaTable]) -> tuple[np.ndarray, np.n
 def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
     """Normalized k-fold sum N^-k |sum exp(i eta zeta_1(b_1) ... zeta_k(b_k))|.
 
-    The full loop over tuples is evaluated exactly: identical entries are
-    merged with multiplicities (same sum, reordered), a double loop handles
-    k <= 2, and for k >= 3 the running product distribution is folded one
-    table at a time.
+    The sum over all N^k tuples is evaluated exactly.  For k = 1 it is the
+    direct sum over the entries.  For k >= 2 the first k - 1 tables fold into
+    the distinct values of their product with multiplicities, the last
+    table's entries merge the same way, and the pairs are summed as a
+    chunked outer product: the same terms, reordered.
     """
     if not tables:
         raise ValueError("need at least one table")

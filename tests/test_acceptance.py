@@ -260,7 +260,7 @@ def test_criterion_7_nonconcentration_and_sums(pert_eq):
         scale = float(rng.choice([1e-4, 1e-2, 1.0]))
         vals = 1.0 + scale * rng.random(n)
         vals[rng.integers(0, n, size=n // 4)] = vals[0]  # force ties
-        table = ZetaTable(n=1, context=(0, 0), values=vals, lambda_used=LN2)
+        table = ZetaTable(vals)
         sigma = float(rng.choice([1e-5, 1e-3, 0.05, 0.5]) * scale + 1e-12)
         fast = nonconcentration_count(table, sigma)
         diffs = np.abs(vals[:, None] - vals[None, :])

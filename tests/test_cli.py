@@ -181,9 +181,10 @@ def test_non_finite_custom_potential_rejected_before_artifacts(tmp_path):
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps([0.0] * (m - 1) + [float("nan")]))
     out = tmp_path / "out"
-    code = main(["equilibrium", "--out", str(out), "--grid", str(m), "--potential", str(pot)])
-    assert code == 2
-    assert not out.exists() or not any(out.iterdir())
+    for experiment in ("equilibrium", "all"):
+        code = main([experiment, "--out", str(out), "--grid", str(m), "--potential", str(pot)])
+        assert code == 2
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_operation_error_exit_code(tmp_path):
@@ -212,6 +213,10 @@ def test_operation_error_exit_code(tmp_path):
         ("twisted", {"twist_t": "100"}),
         ("nonconc", {"zeta_n": "6"}),
         ("construct", {"orbit_periods": 3}),
+        ("deviations", {"deviation_epsilon": float("nan")}),
+        ("fourier", {"freq_base": float("inf")}),
+        ("twisted", {"twist_t": float("nan")}),
+        ("fourier", {"mu_cross_t": [10.0, float("nan")]}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

@@ -62,11 +62,21 @@ def test_inverse_branch_rejects_nan_and_out_of_range(spec):
             inverse_branch(spec, 0, x)
     with pytest.raises(ValueError):
         inverse_branch(spec, 1, np.array([0.2, np.nan, 0.7]))
+    for x in (np.nan, 1.5):
+        with pytest.raises(ValueError):
+            apply_word(spec, (0,), x)
+    # symbols must equal 0 or 1, not truncate to them
+    with pytest.raises(ValueError):
+        apply_word(spec, (1.9,), 0.3)
+    with pytest.raises(ValueError):
+        cylinder(spec, (0.7, 1))
+    with pytest.raises(ValueError):
+        word_index((1.5, 0))
 
 
 def test_apply_word_nan_fails_residual_contract(spec):
     with pytest.raises(BranchSolverError):
-        apply_word(spec, (0, 1), np.nan)
+        symbolic._apply_symbols(spec, (1, 0), np.array([np.nan]))
 
 
 def test_solver_raises_when_iteration_cannot_converge(spec, monkeypatch):

@@ -29,9 +29,7 @@ def lin_eq():
 
 
 def _table(values):
-    vals = np.asarray(values, dtype=float)
-    n = 1
-    return ZetaTable(n=n, context=(0, 0), values=vals, lambda_used=math.log(2.0))
+    return ZetaTable(np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
