@@ -42,8 +42,8 @@ class PeriodicityError(Exception):
 # bump profiles
 # ---------------------------------------------------------------------------
 
-def _exp_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity increasing step: 0 for t<=0, 1 for t>=1."""
+def _exp_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C-infinity increasing step, 0 for t<=0 and 1 for t>=1, and its derivative."""
     t = np.clip(t, 0.0, 1.0)
     a = np.zeros_like(t)
     b = np.zeros_like(t)
@@ -51,38 +51,20 @@ def _exp_step(t: np.ndarray) -> np.ndarray:
     a[pos] = np.exp(-1.0 / t[pos])
     neg = t < 1.0
     b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    return a / (a + b)
+    deriv = np.zeros_like(t)
+    inner = pos & neg
+    ti, ai, bi = t[inner], a[inner], b[inner]
+    deriv[inner] = (ai / ti**2 * bi - ai * (-bi / (1.0 - ti) ** 2)) / (ai + bi) ** 2
+    return a / (a + b), deriv
 
 
-def _exp_step_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inner = (t > 0.0) & (t < 1.0)
-    ti = t[inner]
-    a = np.exp(-1.0 / ti)
-    b = np.exp(-1.0 / (1.0 - ti))
-    da = a / ti**2
-    db = -b / (1.0 - ti) ** 2
-    out[inner] = (da * b - a * db) / (a + b) ** 2
-    return out
-
-
-def _poly_step(t: np.ndarray) -> np.ndarray:
-    """Quintic smoothstep, C^2 at both ends."""
+def _poly_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quintic smoothstep, C^2 at both ends, and its derivative."""
     t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    return t**3 * (10.0 - 15.0 * t + 6.0 * t * t), 30.0 * t**2 * (1.0 - t) ** 2
 
 
-def _poly_step_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inner = (t > 0.0) & (t < 1.0)
-    ti = t[inner]
-    out[inner] = 30.0 * ti**2 * (1.0 - ti) ** 2
-    return out
-
-
-_STEPS = {"exp": (_exp_step, _exp_step_deriv), "smoothstep": (_poly_step, _poly_step_deriv)}
+_STEPS = {"exp": _exp_step, "smoothstep": _poly_step}
 
 BUMP_KINDS = tuple(sorted(_STEPS))
 
@@ -93,12 +75,9 @@ _SUP_CHI_PRIME = {"exp": 2.749, "smoothstep": 2.461}
 
 def _bump_theta(u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Plateau bump: 1 on [-1/4,1/4], supported in [-1/2,1/2]. Returns (theta, theta')."""
-    step, dstep = _STEPS[kind]
     u = np.asarray(u, dtype=float)
-    t = 2.0 - 4.0 * np.abs(u)
-    theta = step(t)
-    dtheta = dstep(t) * (-4.0) * np.sign(u)
-    return theta, dtheta
+    theta, dstep = _STEPS[kind](2.0 - 4.0 * np.abs(u))
+    return theta, dstep * (-4.0) * np.sign(u)
 
 
 def bump_chi(u, kind: str = "exp"):

@@ -21,10 +21,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .circle_map import coefficient_table, lyapunov_target, verify_lattice
+from .circle_map import BUMP_KINDS, coefficient_table, lyapunov_target, verify_lattice
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from .solenoid import _worker_count, periodic_orbit, trajectory_rows
-from .symbolic import cylinder_rows
+from .symbolic import _MAX_LEVEL, cylinder_rows
 from .thermo import (
     EquilibriumData,
     GridFunction,
@@ -67,16 +67,23 @@ DEFAULTS = {
 }
 
 
-# The smallest value each count may take: a fitted slope needs two sigmas or
-# etas, and decay_exponent needs eight frequencies.
-_MINIMUM = {
-    "n_max": 1,
-    "lattice_k_max": 2,
-    "expsum_k": 1,
-    "mu_samples": 1000,
-    "freq_count": 8,
-    "sigma_count": 2,
-    "eta_count": 2,
+# Inclusive (low, high) bounds on each integer value and on each entry of an
+# integer list: a fitted slope needs two sigmas or etas, decay_exponent needs
+# eight frequencies, a zeta block must be short enough to tabulate, and the
+# cylinder levels stay within the enumeration cap.
+_BOUNDS = {
+    "n_max": (1, math.inf),
+    "lattice_k_max": (2, math.inf),
+    "expsum_k": (1, math.inf),
+    "mu_samples": (1000, math.inf),
+    "freq_count": (8, math.inf),
+    "sigma_count": (2, math.inf),
+    "eta_count": (2, math.inf),
+    "zeta_n": (1, 14),
+    "twist_steps": (1, 200),
+    "orbit_periods": (1, math.inf),
+    "gibbs_levels": (1, _MAX_LEVEL),
+    "deviation_levels": (1, 40),
 }
 
 
@@ -107,7 +114,6 @@ def resolve_config(overrides: dict | None = None, config_path: str | None = None
     ):
         # keep the alternating default context in step with a changed block length
         config["zeta_context"] = ("01" * (config["zeta_n"] + 1))[: config["zeta_n"] + 1]
-    _validate(config)
     return config
 
 
@@ -133,44 +139,40 @@ def _check_keys(config: dict) -> None:
             )
 
 
-def _validate(config: dict) -> None:
+def _validate(config: dict) -> np.ndarray | None:
+    """Reject a config outside the range where the numbers mean anything.
+
+    Returns the grid of a custom potential file, checked to hold grid_m
+    finite values, or None for mme and srb.
+    """
     _check_keys(config)
     m = config["grid_m"]
     if m < 1024 or m & (m - 1):
         raise ConfigError(f"grid_m must be a power of two >= 1024, got {m}")
-    for key, low in _MINIMUM.items():
-        if config[key] < low:
-            raise ConfigError(f"{key} must be >= {low}")
-    for key in ("deviation_epsilon", "eps0", "freq_base"):
+    for key, (low, high) in _BOUNDS.items():
+        value = config[key]
+        if not all(low <= v <= high for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{key} = {value!r} leaves the range {low}..{high}")
+    for key in ("deviation_epsilon", "eps0", "freq_base", "sigma_lo"):
         if config[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if not 1 <= config["zeta_n"] <= 14:
-        raise ConfigError("zeta_n must be in 1..14")
+    if config["bump_kind"] not in BUMP_KINDS:
+        raise ConfigError(f"bump_kind must be one of {BUMP_KINDS}, got {config['bump_kind']!r}")
     ctx = config["zeta_context"]
     if set(ctx) - {"0", "1"} or len(ctx) != config["zeta_n"] + 1:
         raise ConfigError("zeta_context must be a 0/1 string of length zeta_n + 1")
-    if not 0 < config["sigma_lo"] < config["sigma_hi"]:
-        raise ConfigError("need 0 < sigma_lo < sigma_hi")
+    if not config["sigma_lo"] < config["sigma_hi"]:
+        raise ConfigError("need sigma_lo < sigma_hi")
     if 4.0 ** (-config["mu_depth"]) > 1e-9:
         raise ConfigError("mu_depth leaves the fiber unresolved")
-    if config["twist_steps"] < 1 or config["twist_steps"] > 200:
-        raise ConfigError("twist_steps must be in 1..200")
     levels = config["deviation_levels"]
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])) or levels[-1] > 40:
-        raise ConfigError("deviation_levels must be a non-empty increasing list <= 40")
-    gibbs = config["gibbs_levels"]
-    if not gibbs or any(not 1 <= n <= 16 for n in gibbs):
-        raise ConfigError("gibbs_levels must be a non-empty list of levels in 1..16")
-    if any(N < 1 for N in config["orbit_periods"]):
-        raise ConfigError("orbit_periods must be >= 1")
-    if config["potential"] not in ("mme", "srb"):
-        _custom_potential(config)
-
-
-def _custom_potential(config: dict) -> np.ndarray:
-    """The grid in the potential file: grid_m finite values, else ConfigError."""
-    m = config["grid_m"]
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("deviation_levels must be a non-empty increasing list")
+    if not config["gibbs_levels"]:
+        raise ConfigError("gibbs_levels must be non-empty")
     kind = config["potential"]
+    if kind in ("mme", "srb"):
+        return None
     if not Path(kind).exists():
         raise ConfigError(f"potential must be 'mme', 'srb', or a JSON file; got {kind!r}")
     with open(kind) as fh:
@@ -182,13 +184,12 @@ def _custom_potential(config: dict) -> np.ndarray:
     return values
 
 
-def _build_potential(config: dict, spec) -> GridFunction:
-    kind = config["potential"]
-    if kind == "mme":
+def _build_potential(config: dict, spec, custom: np.ndarray | None) -> GridFunction:
+    if custom is not None:
+        return GridFunction(custom)
+    if config["potential"] == "mme":
         return mme_potential(config["grid_m"])
-    if kind == "srb":
-        return srb_potential(spec, config["grid_m"])
-    return GridFunction(_custom_potential(config))
+    return srb_potential(spec, config["grid_m"])
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +230,9 @@ def _run_construct(config: dict, out: Path, _eq: None) -> None:
         _write_csv(out / f"orbit_{N}.csv", ["theta", "x", "y", "unstable_deriv"], rows)
 
 
-def _run_equilibrium(config: dict, out: Path) -> EquilibriumData:
+def _run_equilibrium(config: dict, out: Path, custom: np.ndarray | None) -> EquilibriumData:
     spec = coefficient_table(config["n_max"], config["bump_kind"])
-    eq = solve_equilibrium(spec, _build_potential(config, spec))
+    eq = solve_equilibrium(spec, _build_potential(config, spec, custom))
     _write_json(
         out / "equilibrium.json",
         {
@@ -241,10 +242,10 @@ def _run_equilibrium(config: dict, out: Path) -> EquilibriumData:
             "pressure": _fmt(eq.pressure),
             "lyapunov": _fmt(eq.lyapunov),
             "dimension": _fmt(eq.dimension),
-            "psi": [float(v) for v in eq.potential_psi.values],
-            "eigenfunction": [float(v) for v in eq.eigenfunction.values],
-            "density": [float(v) for v in eq.density.values],
-            "phi": [float(v) for v in eq.phi.values],
+            "psi": eq.potential_psi.values.tolist(),
+            "eigenfunction": eq.eigenfunction.values.tolist(),
+            "density": eq.density.values.tolist(),
+            "phi": eq.phi.values.tolist(),
         },
     )
     return eq
@@ -364,21 +365,21 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
 # the experiment table
 # ---------------------------------------------------------------------------
 
-# A flag row: (flag, config key, type or tuple of choices, help).
-Flag = tuple[str, str, object, str]
+# A flag row: (flag, config key, help); the flag's type is its default's.
+Flag = tuple[str, str, str]
 
 SHARED_FLAGS: tuple[Flag, ...] = (
-    ("--seed", "seed", int, "Monte-Carlo seed"),
-    ("--grid", "grid_m", int, "grid size (power of two >= 1024)"),
-    ("--n-max", "n_max", int, "coefficient truncation order"),
-    ("--potential", "potential", str, "mme, srb, or path to a JSON grid"),
-    ("--bump-kind", "bump_kind", ("exp", "smoothstep"), "bump profile of the perturbation"),
+    ("--seed", "seed", "Monte-Carlo seed"),
+    ("--grid", "grid_m", "grid size (power of two >= 1024)"),
+    ("--n-max", "n_max", "coefficient truncation order"),
+    ("--potential", "potential", "mme, srb, or path to a JSON grid"),
+    ("--bump-kind", "bump_kind", f"bump profile of the perturbation: {' or '.join(BUMP_KINDS)}"),
 )
 
 _ZETA_FLAGS: tuple[Flag, ...] = (
-    ("--zeta-n", "zeta_n", int, "phase-table block length"),
-    ("--context", "zeta_context", str, "context word as a 0/1 string"),
-    ("--eps0", "eps0", float, "eta-window exponent"),
+    ("--zeta-n", "zeta_n", "phase-table block length"),
+    ("--context", "zeta_context", "context word as a 0/1 string"),
+    ("--eps0", "eps0", "eta-window exponent"),
 )
 
 
@@ -392,22 +393,22 @@ class Experiment(NamedTuple):
 
 EXPERIMENT_TABLE: dict[str, Experiment] = {  # in dependency order, the order of `all`
     "construct": Experiment(_run_construct, False, (
-        ("--k-max", "lattice_k_max", int, "lattice verification order"),
+        ("--k-max", "lattice_k_max", "lattice verification order"),
     )),
     "equilibrium": Experiment(None, True),
     "gibbs": Experiment(_run_gibbs, True),
     "deviations": Experiment(_run_deviations, True, (
-        ("--epsilon", "deviation_epsilon", float, "deviation window"),
+        ("--epsilon", "deviation_epsilon", "deviation window"),
     )),
     "twisted": Experiment(_run_twisted, True, (
-        ("--t", "twist_t", float, "twist frequency"),
-        ("--steps", "twist_steps", int, "twisted iteration count"),
+        ("--t", "twist_t", "twist frequency"),
+        ("--steps", "twist_steps", "twisted iteration count"),
     )),
     "nonconc": Experiment(_run_nonconc, True, _ZETA_FLAGS),
     "expsum": Experiment(_run_expsum, True, _ZETA_FLAGS),
     "fourier": Experiment(_run_fourier, True, (
-        ("--samples", "mu_samples", int, "Monte-Carlo sample count"),
-        ("--depth", "mu_depth", int, "attractor iteration depth"),
+        ("--samples", "mu_samples", "Monte-Carlo sample count"),
+        ("--depth", "mu_depth", "attractor iteration depth"),
     )),
 }
 
@@ -427,7 +428,7 @@ def _flags(experiment: str) -> tuple[Flag, ...]:
 def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
     """Execute one experiment (or 'all') and write artifacts plus a manifest."""
     chain = _chain(experiment)
-    _validate(config)
+    custom = _validate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -436,7 +437,7 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
     for name in chain:
         entry = EXPERIMENT_TABLE[name]
         if entry.needs_equilibrium and eq is None:
-            eq = _run_equilibrium(config, out)
+            eq = _run_equilibrium(config, out, custom)
         if entry.runner is not None:
             entry.runner(config, out, eq)
 
@@ -466,15 +467,14 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config or a previously emitted manifest")
         p.add_argument("--out", default="out", help="output directory")
-        for flag, key, kind, text in _flags(name):
-            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            p.add_argument(flag, dest=key, help=text, **check)
+        for flag, key, text in _flags(name):
+            p.add_argument(flag, dest=key, type=type(DEFAULTS[key]), help=text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for _, key, _, _ in _flags(args.experiment)}
+    overrides = {key: getattr(args, key) for _, key, _ in _flags(args.experiment)}
     try:
         config = resolve_config(overrides, args.config)
         run(args.experiment, config, args.out)

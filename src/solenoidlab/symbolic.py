@@ -51,6 +51,9 @@ Word = tuple[int, ...]
 # below one ulp of any root in [1/4, 1] and far below the 1e-14 contract.
 _SWEEPS = 60
 
+# The deepest level whose 2^n cylinders are enumerated as one tree.
+_MAX_LEVEL = 16
+
 
 class BranchSolverError(Exception):
     """Inverse-branch solve failed its residual contract."""
@@ -235,8 +238,8 @@ def cylinder_rows(spec: PerturbationSpec, n: int):
     the chain-rule derivative of the composed inverse branch along the
     anchor's forward orbit.
     """
-    if not 1 <= n <= 16:
-        raise ValueError("n must be in 1..16")
+    if not 1 <= n <= _MAX_LEVEL:
+        raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
     pts = level_endpoints(spec, n)
     anchors = endpoint_anchors(pts)
     derivs = np.exp(-log_expansion_sums(spec, pts))

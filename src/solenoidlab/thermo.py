@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circle_map import PerturbationSpec, f_eval
-from .symbolic import endpoint_anchors, inverse_branch, level_endpoints
+from .symbolic import _MAX_LEVEL, endpoint_anchors, inverse_branch, level_endpoints
 from .symbolic import log_expansion_sums, tree_birkhoff_sums
 
 __all__ = [
@@ -317,8 +317,8 @@ def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
     Bounded distortion predicts both extremes stay within a constant of 1
     independent of n; for the linear maximal-entropy case they equal 1.
     """
-    if not 1 <= n <= 16:
-        raise ValueError("n must be in 1..16")
+    if not 1 <= n <= _MAX_LEVEL:
+        raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
     pts = level_endpoints(eq.spec, n)
     masses = np.diff(measure_cdf(eq, pts))
     weights = np.exp(_phi_birkhoff(eq, pts))
@@ -384,6 +384,10 @@ def _birkhoff_at_points(eq: EquilibriumData, pts: np.ndarray, steps: int):
     return s_tau, s_phi
 
 
+# nu-samples behind each Monte-Carlo escaping fraction
+_MC_SAMPLES = 200_000
+
+
 def _deviation_fraction_mc(
     eq: EquilibriumData, n: int, epsilon: float, samples: int, seed: int
 ) -> float:
@@ -397,27 +401,27 @@ def large_deviation_profile(
     eq: EquilibriumData,
     epsilon: float,
     n_list: Sequence[int],
-    mc_samples: int = 200_000,
     seed: int = 0,
 ) -> DeviationProfile:
     """Escaping nu-mass fraction(n) over the requested block lengths.
 
-    For n <= 16 every level-n cylinder is tested at its anchor and
-    contributes its full nu-mass when the anchor's averages fall outside
-    the epsilon windows; larger n fall back to seeded Monte Carlo over
-    nu-samples.  The fitted rate regresses ln fraction on n over the
-    positive entries (0 when fewer than two entries are positive).
+    For n up to the enumeration cap symbolic._MAX_LEVEL (16) every level-n
+    cylinder is tested at its anchor and contributes its full nu-mass when
+    the anchor's averages fall outside the epsilon windows; larger n fall
+    back to seeded Monte Carlo over _MC_SAMPLES nu-samples.  The fitted
+    rate regresses ln fraction on n over the positive entries (0 when fewer
+    than two entries are positive).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
-    n_tree = max((n for n in n_list if n <= 16), default=0)
+    n_tree = max((n for n in n_list if n <= _MAX_LEVEL), default=0)
     tree = level_endpoints(eq.spec, n_tree)
     entries = []
     for n in n_list:
-        if n <= 16:
+        if n <= _MAX_LEVEL:
             pts = tree[:: 1 << (n_tree - n)]
             masses = np.diff(measure_cdf(eq, pts))
             bad = _outside_windows(
@@ -425,7 +429,7 @@ def large_deviation_profile(
             )
             frac = float(masses[bad].sum())
         else:
-            frac = _deviation_fraction_mc(eq, n, epsilon, mc_samples, seed)
+            frac = _deviation_fraction_mc(eq, n, epsilon, _MC_SAMPLES, seed)
         entries.append((n, frac))
     pos = [(n, f) for n, f in entries if f > 0.0]
     if len(pos) >= 2:
@@ -451,8 +455,8 @@ def regular_words(
     [window[0], window[1]].  Returns (lexicographic indices,
     e^{dim * lyap * n}), the second being the cardinality benchmark.
     """
-    if not 1 <= n <= 15:
-        raise ValueError("n must be in 1..15")
+    if not 1 <= n < _MAX_LEVEL:
+        raise ValueError(f"n must be in 1..{_MAX_LEVEL - 1}")
     pts = level_endpoints(eq.spec, n + 1)
     s_tau, s_phi = _birkhoff_at_points(eq, endpoint_anchors(pts), n)
     good = ~_outside_windows(eq, s_tau, s_phi, n, epsilon)

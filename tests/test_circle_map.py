@@ -141,7 +141,9 @@ def test_f_monotone_on_lift(spec):
     assert np.all(np.diff(lift) > 0)
 
 
-def test_g_matches_finite_differences(spec):
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+def test_g_matches_finite_differences(kind):
+    spec = coefficient_table(5, kind)
     rng = np.random.default_rng(7)
     x = rng.random(10_000)
     h = 1e-7

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,16 @@ import pytest
 
 import solenoidlab
 from solenoidlab import fourier, solenoid
-from solenoidlab.cli import ConfigError, _parser, main, resolve_config, run
+from solenoidlab.cli import (
+    EXPERIMENT_TABLE,
+    SHARED_FLAGS,
+    ConfigError,
+    _flags,
+    _parser,
+    main,
+    resolve_config,
+    run,
+)
 
 
 def _fast_config(**extra):
@@ -187,6 +197,28 @@ def test_non_finite_custom_potential_rejected_before_artifacts(tmp_path):
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_custom_potential_file_read_once(tmp_path, monkeypatch):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps([0.0] * 1024))
+    loads = []
+    real_load = json.load
+
+    def counting_load(fh, **kwargs):
+        loads.append(fh.name)
+        return real_load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting_load)
+    argv = ["equilibrium", "--grid", "1024", "--potential", str(pot), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert loads == [str(pot)]
+
+
+def test_bad_bump_kind_flag_rejected_before_artifacts(tmp_path):
+    out = tmp_path / "out"
+    assert main(["construct", "--bump-kind", "foo", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_operation_error_exit_code(tmp_path):
     pot = tmp_path / "pot.json"
     pot.write_text("{not valid json")
@@ -217,6 +249,8 @@ def test_operation_error_exit_code(tmp_path):
         ("fourier", {"freq_base": float("inf")}),
         ("twisted", {"twist_t": float("nan")}),
         ("fourier", {"mu_cross_t": [10.0, float("nan")]}),
+        ("construct", {"bump_kind": "foo"}),
+        ("deviations", {"deviation_levels": [0, 6]}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
@@ -276,3 +310,16 @@ def test_subcommand_accepts_exactly_its_flags(experiment):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv)  # e.g. `gibbs --t 1`
             assert exc.value.code == 2, argv
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | own flags (config key) |\n| --- | --- |\n")[1]
+    documented = {}
+    for line in table.split("\n\n")[0].splitlines():
+        name, flags = line.strip("|").split("|")
+        documented[name.strip(" `")] = re.findall(r"`(--[\w-]+)` \(`(\w+)`\)", flags)
+    assert documented == {
+        name: [row[:2] for row in _flags(name) if row not in SHARED_FLAGS]
+        for name in EXPERIMENT_TABLE
+    }

@@ -308,11 +308,11 @@ def test_deviation_profile_beyond_enumeration(spec):
     m = 1 << 12
     psi = GridFunction(0.5 * np.sin(2 * np.pi * np.arange(m) / m))
     eq = solve_equilibrium(spec, psi)
-    prof = large_deviation_profile(eq, 0.25, [16, 18], mc_samples=100_000, seed=4)
+    prof = large_deviation_profile(eq, 0.25, [16, 18], seed=4)
     fractions = [f for _, f in prof.entries]
     assert all(0.0 <= f <= 1.0 for f in fractions)
     assert abs(fractions[1] - fractions[0]) < 0.05
-    again = large_deviation_profile(eq, 0.25, [16, 18], mc_samples=100_000, seed=4)
+    again = large_deviation_profile(eq, 0.25, [16, 18], seed=4)
     assert again.entries == prof.entries
 
 
