@@ -72,6 +72,7 @@ DEFAULTS = {
 # eight frequencies, a zeta block must be short enough to tabulate, and the
 # cylinder levels stay within the enumeration cap.
 _BOUNDS = {
+    "seed": (0, math.inf),
     "n_max": (1, math.inf),
     "lattice_k_max": (2, math.inf),
     "expsum_k": (1, math.inf),

@@ -77,11 +77,31 @@ def step_many(spec, thetas, xs, ys):
 
 
 def _worker_count() -> int:
-    """Threads push_forward may use: the CPUs this process may run on."""
+    """Threads _thread_map may use: the CPUs this process may run on.
+
+    push_forward's chunks and twisted.exp_sum's row bands share this count,
+    so patching it governs both.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _thread_map(fn, starts) -> None:
+    """Call fn(start) for each start on up to _worker_count() threads.
+
+    The pool is capped at the task count, and a single worker runs the
+    tasks inline.  Callers give each task a fixed, disjoint slice of a
+    preallocated output (NumPy releases the interpreter lock inside its
+    ufuncs), so the result does not depend on the thread count.
+    """
+    workers = min(_worker_count(), len(starts))
+    if workers <= 1:
+        list(map(fn, starts))
+    else:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fn, starts))  # reading every result re-raises a task's error
 
 
 def push_forward(spec: PerturbationSpec, thetas, xs, ys, depth: int):
@@ -89,9 +109,7 @@ def push_forward(spec: PerturbationSpec, thetas, xs, ys, depth: int):
 
     The points are pushed in fixed chunks of _CHUNK, each chunk through all
     depth steps of step_many while it stays in cache.  The chunks are shared
-    out over a thread pool of _worker_count() threads (NumPy releases the
-    interpreter lock inside its ufuncs), capped at the chunk count; a single
-    chunk runs inline.  Every point sees the same operations whatever its
+    out by _thread_map.  Every point sees the same operations whatever its
     chunk or thread, so the output does not depend on the thread count.
     From the solid torus, the fiber distance to the attractor afterwards is
     at most 2 * 4^-depth.
@@ -111,13 +129,7 @@ def push_forward(spec: PerturbationSpec, thetas, xs, ys, depth: int):
         for full, part in zip(out, (t, x, y)):
             full[chunk] = part
 
-    starts = range(0, thetas.size, _CHUNK)
-    workers = min(_worker_count(), len(starts))
-    if workers <= 1:
-        list(map(push, starts))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(push, starts))  # reading every result re-raises a chunk's error
+    _thread_map(push, range(0, thetas.size, _CHUNK))
     return out
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .solenoid import _thread_map
 from .symbolic import _apply_symbols, _check_word
 from .thermo import EquilibriumData, transfer_matrix
 
@@ -99,15 +100,24 @@ def zeta_table(eq: EquilibriumData, context: Sequence[int], n: int) -> ZetaTable
 def nonconcentration_count(table: ZetaTable, sigma: float) -> int:
     """Ordered pairs (b, c), diagonal included, with |zeta(b) - zeta(c)| <= sigma.
 
-    Sort plus a bisection sweep; the closed inequality makes an all-equal
-    table of size N count exactly N^2 at any sigma >= 0.
+    Each pair is judged by its rounded difference, as the all-pairs count
+    judges it; searching for the rounded bounds v +- sigma instead misjudges
+    pairs one rounding away from sigma.  After a sort fl(v[j] - v[i]) does
+    not decrease in j and fl(a - b) = -fl(b - a), so a vectorized bisection
+    per row finds the first later entry beyond sigma, and the count is twice
+    the pairs with j >= i, less the diagonal.  An all-equal table of size N
+    counts exactly N^2.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     v = np.sort(table.values)
-    lo = np.searchsorted(v, v - sigma, side="left")
-    hi = np.searchsorted(v, v + sigma, side="right")
-    return int((hi - lo).sum())
+    rows = np.arange(v.size)
+    lo, hi = rows, np.full(v.size, v.size)  # v[lo] - v <= sigma < v[hi] - v
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2  # a settled row (hi = lo + 1) has mid = lo and stays
+        ok = v[mid] - v <= sigma
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return int(2 * (hi - rows).sum() - v.size)
 
 
 @dataclass(frozen=True)
@@ -140,6 +150,10 @@ def concentration_report(table: ZetaTable, sigma_list: Sequence[float]) -> Conce
 # ---------------------------------------------------------------------------
 
 _FOLD_LIMIT = 50_000_000
+# Rows per exp_sum band.  Each band's temporaries stay small while its rows
+# are written into the chunk's block; the block is summed whole, so the
+# result does not depend on the band size or the thread count.
+_BAND = 64
 
 
 def _product_distribution(tables: Sequence[ZetaTable]) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +182,9 @@ def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
     direct sum over the entries.  For k >= 2 the first k - 1 tables fold into
     the distinct values of their product with multiplicities, the last
     table's entries merge the same way, and the pairs are summed as a
-    chunked outer product: the same terms, reordered.
+    chunked outer product: the same terms, reordered.  Each chunk's block
+    is filled in fixed bands of _BAND rows by solenoid._thread_map, the
+    push-forward's thread pool, and then summed whole.
     """
     if not tables:
         raise ValueError("need at least one table")
@@ -187,6 +203,15 @@ def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
     total = 0.0 + 0.0j
     chunk = max(1, _FOLD_LIMIT // (10 * max(last.size, 1)))
     for start in range(0, values.size, chunk):
-        block = np.exp(1j * eta * np.multiply.outer(values[start : start + chunk], last))
-        total += (weights[start : start + chunk, None] * (block * cnt)).sum()
+        v, w = values[start : start + chunk], weights[start : start + chunk]
+        block = np.empty((v.size, last.size), dtype=complex)
+
+        def fill(row: int) -> None:
+            r = slice(row, row + _BAND)
+            np.multiply(
+                w[r, None], np.exp(1j * eta * np.multiply.outer(v[r], last)) * cnt, out=block[r]
+            )
+
+        _thread_map(fill, range(0, v.size, _BAND))
+        total += block.sum()
     return float(abs(total)) / float(N) ** k

@@ -121,6 +121,16 @@ def test_fourier_summary_independent_of_threads(tmp_path, monkeypatch):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
+def test_expsum_csv_independent_of_threads(tmp_path, monkeypatch):
+    config = _fast_config()  # 128 phases: two full exp_sum bands
+    bodies = []
+    for workers in (1, 2):
+        monkeypatch.setattr(solenoid, "_worker_count", lambda w=workers: w)
+        run("expsum", config, tmp_path / str(workers))
+        bodies.append((tmp_path / str(workers) / "expsum.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_nonconc_and_expsum_artifacts(tmp_path):
     config = _fast_config()
     run("nonconc", config, tmp_path)
@@ -251,6 +261,7 @@ def test_operation_error_exit_code(tmp_path):
         ("fourier", {"mu_cross_t": [10.0, float("nan")]}),
         ("construct", {"bump_kind": "foo"}),
         ("deviations", {"deviation_levels": [0, 6]}),
+        ("fourier", {"seed": -1}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

@@ -1,6 +1,8 @@
 """Solid-torus map: Jacobian structure, fixed points, orbits, bunching."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +205,20 @@ def test_push_forward_deep_resolves_fiber(spec):
     _, (xa, xb), (ya, yb) = push_forward(spec, [0.1, 0.1], [1.0, -1.0], [0.0, 0.0], 40)
     assert abs(xa - xb) <= np.finfo(float).eps
     assert abs(ya - yb) <= np.finfo(float).eps
+
+
+def test_one_thread_pool_in_package():
+    # _thread_map is the one place a pool is made, so _worker_count governs
+    # every parallel path and no second pool can grow beside it.
+    makers = []
+    for path in sorted(Path(solenoid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk goes outside in)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            callee = getattr(node, "func", None)
+            if getattr(callee, "attr", getattr(callee, "id", None)) == "ThreadPoolExecutor":
+                makers.append((path.name, owner.get(node)))
+    assert makers == [("solenoid.py", "_thread_map")]

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from solenoidlab import solenoid, twisted
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.symbolic import apply_word, index_word
 from solenoidlab.thermo import mme_potential, solve_equilibrium
@@ -138,6 +140,20 @@ def test_count_matches_brute_force():
         assert nonconcentration_count(tab, sigma) == _brute_count(vals, sigma)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    distinct=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40),
+    picks=st.lists(st.integers(0, 39), min_size=1, max_size=80),
+    sigma=st.floats(1e-12, 10.0),
+)
+# |1.1 - 1.0| rounds to 0.10000000000000009 > 0.1, yet 1.0 + 0.1 rounds up to 1.1
+@example(distinct=[1.0, 1.1], picks=[0, 1], sigma=0.1)
+@example(distinct=[1.0, 2.0], picks=[0, 1], sigma=1.0 - 2.0**-53)
+def test_property_count_matches_brute_force(distinct, picks, sigma):
+    vals = [distinct[i % len(distinct)] for i in picks]  # repeated picks are ties
+    assert nonconcentration_count(_table(vals), sigma) == _brute_count(vals, sigma)
+
+
 def test_count_monotone_in_sigma(pert_eq):
     tab = zeta_table(pert_eq, (0, 1, 0, 1, 0, 1, 0, 1, 0), 8)
     sigmas = np.logspace(-6, -1, 12)
@@ -232,3 +248,33 @@ def test_exp_sum_decreasing_trend_over_jn(pert_eq):
     mods = [exp_sum(eta, [tab, tab]) for eta in etas]
     slope = np.polyfit(np.log(etas), np.log(mods), 1)[0]
     assert slope < 0.0
+
+
+def _whole_block_exp_sum(eta, tables):
+    # The k >= 2 sum before banding: each _FOLD_LIMIT chunk is one block,
+    # built and reduced by whole-array operations.
+    values, weights = twisted._product_distribution(tables[:-1])
+    last, cnt = np.unique(tables[-1].values, return_counts=True)
+    total = 0.0 + 0.0j
+    chunk = max(1, twisted._FOLD_LIMIT // (10 * last.size))
+    for start in range(0, values.size, chunk):
+        block = np.exp(1j * eta * np.multiply.outer(values[start : start + chunk], last))
+        total += (weights[start : start + chunk, None] * (block * cnt)).sum()
+    return float(abs(total)) / float(tables[0].size) ** len(tables)
+
+
+@pytest.mark.parametrize("fold_limit", [twisted._FOLD_LIMIT, 150_000])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_banded_exp_sum_equals_whole_block(monkeypatch, workers, k, fold_limit):
+    monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
+    monkeypatch.setattr(twisted, "_FOLD_LIMIT", fold_limit)
+    rng = np.random.default_rng(71)
+    tables = []
+    for _ in range(k):
+        distinct = 1.0 + 0.05 * rng.random(150)  # 150 = 2 * _BAND + 22 rows at k = 2
+        tables.append(_table(np.concatenate([distinct, rng.choice(distinct, 50)])))
+    assert 150 % twisted._BAND != 0
+    # 150_000 // (10 * 150) = 100 rows per chunk: two chunks at k = 2, ~225 at k = 3
+    for eta in (3.0, 47.0, 910.0):
+        assert exp_sum(eta, tables) == _whole_block_exp_sum(eta, tables)
