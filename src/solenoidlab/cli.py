@@ -70,7 +70,7 @@ DEFAULTS = {
 # Inclusive (low, high) bounds on each integer value and on each entry of an
 # integer list: a fitted slope needs two sigmas or etas, decay_exponent needs
 # eight frequencies, a zeta block must be short enough to tabulate, and the
-# cylinder levels stay within the enumeration cap.
+# cylinder and deviation levels stay within the enumeration cap.
 _BOUNDS = {
     "seed": (0, math.inf),
     "n_max": (1, math.inf),
@@ -84,7 +84,7 @@ _BOUNDS = {
     "twist_steps": (1, 200),
     "orbit_periods": (1, math.inf),
     "gibbs_levels": (1, _MAX_LEVEL),
-    "deviation_levels": (1, 40),
+    "deviation_levels": (1, _MAX_LEVEL),
 }
 
 
@@ -208,8 +208,43 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _encode(obj, depth: int = 0):
+    """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces, byte for byte, for str keys.
+
+    Each non-empty list of numbers goes to the C encoder in one call and is
+    re-indented by splitting at ", ", which no number's encoding contains;
+    the indented json.dumps would fall back to the pure-Python encoder,
+    several times slower on the equilibrium grids.  Written as they come,
+    the pieces hold one grid in memory at a time, not the whole document.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    is_list = isinstance(obj, (list, tuple)) and bool(obj)
+    if is_list and all(isinstance(v, (int, float)) for v in obj):
+        yield "[" + pad + json.dumps(obj)[1:-1].replace(", ", "," + pad) + pad[:-2] + "]"
+    elif isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON artifact keys must be strings")
+        opener = "{"
+        for key in sorted(obj):
+            yield opener + pad + json.dumps(key) + ": "
+            yield from _encode(obj[key], depth + 1)
+            opener = ","
+        yield pad[:-2] + "}"
+    elif is_list:
+        opener = "["
+        for v in obj:
+            yield opener + pad
+            yield from _encode(v, depth + 1)
+            opener = ","
+        yield pad[:-2] + "]"
+    else:  # a scalar or an empty container
+        yield json.dumps(obj)
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with path.open("w") as fh:
+        fh.writelines(_encode(doc))
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +299,7 @@ def _run_gibbs(config: dict, out: Path, eq: EquilibriumData) -> None:
 
 
 def _run_deviations(config: dict, out: Path, eq: EquilibriumData) -> None:
-    prof = large_deviation_profile(
-        eq, config["deviation_epsilon"], config["deviation_levels"], seed=config["seed"]
-    )
+    prof = large_deviation_profile(eq, config["deviation_epsilon"], config["deviation_levels"])
     _write_csv(out / "deviations.csv", ["n", "fraction"], prof.entries)
     _write_json(
         out / "deviations.json",

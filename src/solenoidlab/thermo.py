@@ -13,6 +13,7 @@ reads off the resulting EquilibriumData.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,10 +108,19 @@ def srb_potential(spec: PerturbationSpec, m: int) -> GridFunction:
 # transfer operator
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _preimage_data(spec: PerturbationSpec, m: int):
-    """Preimage points of every node under both branches, with f' there."""
+    """Preimage points of every node under both branches, with f' there.
+
+    Memoized for the last (spec, m), so the transfer matrices of one grid
+    share one solve; the arrays are read-only because every caller gets them.
+    """
     branches = [inverse_branch(spec, a, nodes(m)) for a in (0, 1)]
-    return [y % 1.0 for y, _ in branches], [1.0 / d for _, d in branches]
+    ys = tuple(y % 1.0 for y, _ in branches)
+    fps = tuple(1.0 / d for _, d in branches)
+    for arr in ys + fps:
+        arr.setflags(write=False)
+    return ys, fps
 
 
 def transfer_matrix(
@@ -384,32 +394,17 @@ def _birkhoff_at_points(eq: EquilibriumData, pts: np.ndarray, steps: int):
     return s_tau, s_phi
 
 
-# nu-samples behind each Monte-Carlo escaping fraction
-_MC_SAMPLES = 200_000
-
-
-def _deviation_fraction_mc(
-    eq: EquilibriumData, n: int, epsilon: float, samples: int, seed: int
-) -> float:
-    """Monte-Carlo escaping fraction for block lengths beyond the enumeration cap."""
-    pts = sample(eq, samples, seed)
-    s_tau, s_phi = _birkhoff_at_points(eq, pts, n)
-    return float(_outside_windows(eq, s_tau, s_phi, n, epsilon).mean())
-
-
 def large_deviation_profile(
     eq: EquilibriumData,
     epsilon: float,
     n_list: Sequence[int],
-    seed: int = 0,
 ) -> DeviationProfile:
     """Escaping nu-mass fraction(n) over the requested block lengths.
 
-    For n up to the enumeration cap symbolic._MAX_LEVEL (16) every level-n
-    cylinder is tested at its anchor and contributes its full nu-mass when
-    the anchor's averages fall outside the epsilon windows; larger n fall
-    back to seeded Monte Carlo over _MC_SAMPLES nu-samples.  The fitted
-    rate regresses ln fraction on n over the positive entries (0 when fewer
+    Every level-n cylinder, n up to the enumeration cap symbolic._MAX_LEVEL
+    (16), is tested at its anchor and contributes its full nu-mass when the
+    anchor's averages fall outside the epsilon windows.  The fitted rate
+    regresses ln fraction on n over the positive entries (0 when fewer
     than two entries are positive).
     """
     if epsilon <= 0.0:
@@ -417,20 +412,18 @@ def large_deviation_profile(
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
-    n_tree = max((n for n in n_list if n <= _MAX_LEVEL), default=0)
+    if not all(1 <= n <= _MAX_LEVEL for n in n_list):
+        raise ValueError(f"block lengths must be in 1..{_MAX_LEVEL}")
+    n_tree = max(n_list, default=0)
     tree = level_endpoints(eq.spec, n_tree)
     entries = []
     for n in n_list:
-        if n <= _MAX_LEVEL:
-            pts = tree[:: 1 << (n_tree - n)]
-            masses = np.diff(measure_cdf(eq, pts))
-            bad = _outside_windows(
-                eq, log_expansion_sums(eq.spec, pts), _phi_birkhoff(eq, pts), n, epsilon
-            )
-            frac = float(masses[bad].sum())
-        else:
-            frac = _deviation_fraction_mc(eq, n, epsilon, _MC_SAMPLES, seed)
-        entries.append((n, frac))
+        pts = tree[:: 1 << (n_tree - n)]
+        masses = np.diff(measure_cdf(eq, pts))
+        bad = _outside_windows(
+            eq, log_expansion_sums(eq.spec, pts), _phi_birkhoff(eq, pts), n, epsilon
+        )
+        entries.append((n, float(masses[bad].sum())))
     pos = [(n, f) for n, f in entries if f > 0.0]
     if len(pos) >= 2:
         ns = np.array([n for n, _ in pos], dtype=float)

@@ -1,5 +1,6 @@
 """CLI configuration, artifact emission, and manifest reproducibility."""
 
+import ast
 import json
 import os
 import re
@@ -9,13 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import solenoidlab
-from solenoidlab import fourier, solenoid
+from solenoidlab import cli, fourier, solenoid
 from solenoidlab.cli import (
     EXPERIMENT_TABLE,
     SHARED_FLAGS,
     ConfigError,
+    _encode,
     _flags,
     _parser,
     main,
@@ -262,6 +265,7 @@ def test_operation_error_exit_code(tmp_path):
         ("construct", {"bump_kind": "foo"}),
         ("deviations", {"deviation_levels": [0, 6]}),
         ("fourier", {"seed": -1}),
+        ("deviations", {"deviation_levels": [6, 17]}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
@@ -270,6 +274,91 @@ def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad)
     out = tmp_path / "out"
     assert main([experiment, "--out", str(out), "--config", str(config)]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# the JSON artifact encoder (hypothesis, derandomized so every run draws the same cases)
+# ---------------------------------------------------------------------------
+
+def _indented(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80),
+)
+_TEXT = st.text(max_size=8) | st.sampled_from([", ", "a, b", "1, 2", "line\nbreak", "é, ü, ∞"])
+_SCALARS = _NUMBERS | st.booleans() | st.none() | _TEXT
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(_NUMBERS, min_size=1),
+        st.lists(_NUMBERS, min_size=1).map(tuple),
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_TEXT, inner),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(doc=st.dictionaries(_TEXT, _DOCS, max_size=4))
+@example(doc={"grid": [0.5, float("nan"), 2**64], "mixed": ["a, b", 1.0, [], {}, [-0.0]]})
+def test_encoder_matches_indented_json_dumps(doc):
+    assert "".join(_encode(doc)) + "\n" == _indented(doc)
+
+
+def test_every_artifact_matches_indented_json_dumps(tmp_path, monkeypatch):
+    written = {}
+    real = cli._write_json
+
+    def capture(path, doc):
+        real(path, doc)
+        written[path.name] = doc
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    run("all", _fast_config(mu_samples=1_000), tmp_path)
+    assert {"coefficients.json", "equilibrium.json", "summary.json", "manifest.json"} <= set(written)
+    # names only: a failing diff of two whole documents takes minutes to render
+    mismatched = [n for n, doc in written.items() if (tmp_path / n).read_text() != _indented(doc)]
+    assert mismatched == []
+
+
+def test_encoder_rejects_non_str_keys():
+    for doc in ({1: 2.0}, {"a": {None: [1.0]}}, {"a": [{2.5: "x"}]}):
+        with pytest.raises(TypeError):
+            "".join(_encode(doc))
+
+
+def test_json_artifacts_written_only_by_write_json():
+    # _write_json is the one place an artifact's JSON is written, so every
+    # artifact goes through _encode and no second encoder can grow beside it.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    owner = {}  # node -> innermost enclosing function (ast.walk goes outside in)
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            owner.update((node, func.name) for node in ast.walk(func))
+
+    def called(node):
+        callee = getattr(node, "func", None)
+        return getattr(callee, "attr", getattr(callee, "id", None))
+
+    def callers(names):
+        return [owner.get(node) for node in ast.walk(tree) if called(node) in names]
+
+    json_writes = [
+        owner.get(node)
+        for node in ast.walk(tree)
+        if called(node) in ("write_text", "write_bytes", "write", "writelines")
+        and any(called(sub) in ("dumps", "_encode") for sub in ast.walk(node))
+    ]
+    assert json_writes == ["_write_json"]
+    assert set(callers({"dumps"})) == {"_encode"}
+    assert set(callers({"_encode"})) == {"_encode", "_write_json"}
 
 
 def test_python_m_runs_from_checkout(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solenoidlab import symbolic, thermo
 from solenoidlab.circle_map import coefficient_table, f_eval, linear_spec
 from solenoidlab.thermo import (
     GridFunction,
@@ -24,6 +25,7 @@ from solenoidlab.thermo import (
     transfer_matrix,
     upper_regularity_exponent,
 )
+from solenoidlab.twisted import twisted_norm_profile
 
 M = 1 << 12
 LN2 = math.log(2.0)
@@ -77,9 +79,52 @@ def test_transfer_adjoint_consistency(spec):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_solve_reports_nonconvergence(spec, monkeypatch):
-    from solenoidlab import thermo
+@pytest.fixture
+def fresh_preimages():
+    # the preimage memo lives for the process; empty it around each test that
+    # counts or compares its entries, so test order cannot matter
+    thermo._preimage_data.cache_clear()
+    yield
+    thermo._preimage_data.cache_clear()
 
+
+def test_preimages_solved_once_per_spec_and_grid(spec, fresh_preimages, monkeypatch):
+    branches = []
+    real = symbolic._solve_branch
+
+    def counting(spec_, a, x):
+        branches.append(float(a[0]))
+        return real(spec_, a, x)
+
+    monkeypatch.setattr(symbolic, "_solve_branch", counting)
+    m = 1 << 10
+    eq = solve_equilibrium(spec, srb_potential(spec, m))
+    twisted_norm_profile(eq, 100.0, 3)
+    transfer_apply(spec, eq.phi, GridFunction.constant(1.0, m))
+    assert branches == [0.0, 1.0]
+
+
+def test_cached_preimages_are_read_only(spec, fresh_preimages):
+    ys, fps = thermo._preimage_data(spec, 1 << 10)
+    for arr in ys + fps:
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_preimages_follow_spec_and_grid(spec, fresh_preimages):
+    smooth = coefficient_table(5, "smoothstep")
+    m = 1 << 10
+    exp_ys = thermo._preimage_data(spec, m)[0]
+    for key in ((smooth, m), (spec, 2 * m), (spec, m)):
+        ys, fps = thermo._preimage_data(*key)
+        uncached = thermo._preimage_data.__wrapped__(*key)
+        for got, want in zip(ys + fps, uncached[0] + uncached[1]):
+            assert np.array_equal(got, want)
+    # the two bump kinds move the preimages, so a memo keyed on m alone fails above
+    assert not np.array_equal(thermo._preimage_data.__wrapped__(smooth, m)[0][0], exp_ys[0])
+
+
+def test_solve_reports_nonconvergence(spec, monkeypatch):
     monkeypatch.setattr(thermo, "_EIG_SWEEPS", 1)
     with pytest.raises(thermo.SpectralConvergenceError):
         solve_equilibrium(spec, mme_potential(M))
@@ -263,6 +308,9 @@ def test_deviation_profile_linear_all_zero(lin_eq):
     prof = large_deviation_profile(lin_eq, 0.05, range(4, 11))
     assert all(f == 0.0 for _, f in prof.entries)
     assert prof.fitted_rate == 0.0
+    for outside in ([6, 17], [0, 6]):
+        with pytest.raises(ValueError):
+            large_deviation_profile(lin_eq, 0.05, outside)
 
 
 def test_deviation_profile_huge_epsilon(pert_eq):
@@ -289,31 +337,6 @@ def test_deviation_profile_generic_potential_decays(spec):
     assert any(f > 0.0 for f in fractions)
     assert all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
     assert prof.fitted_rate < 0.0
-
-
-def test_deviation_mc_agrees_with_enumeration(spec):
-    from solenoidlab.thermo import _deviation_fraction_mc
-
-    m = 1 << 12
-    psi = GridFunction(0.5 * np.sin(2 * np.pi * np.arange(m) / m))
-    eq = solve_equilibrium(spec, psi)
-    exact = large_deviation_profile(eq, 0.25, [12]).entries[0][1]
-    mc = _deviation_fraction_mc(eq, 12, 0.25, samples=200_000, seed=2)
-    # anchor testing freezes each cylinder at one point; point sampling sees
-    # the O(1/n) threshold shell, so the two differ by a few percent here
-    assert abs(mc - exact) < 0.03
-
-
-def test_deviation_profile_beyond_enumeration(spec):
-    m = 1 << 12
-    psi = GridFunction(0.5 * np.sin(2 * np.pi * np.arange(m) / m))
-    eq = solve_equilibrium(spec, psi)
-    prof = large_deviation_profile(eq, 0.25, [16, 18], seed=4)
-    fractions = [f for _, f in prof.entries]
-    assert all(0.0 <= f <= 1.0 for f in fractions)
-    assert abs(fractions[1] - fractions[0]) < 0.05
-    again = large_deviation_profile(eq, 0.25, [16, 18], seed=4)
-    assert again.entries == prof.entries
 
 
 def test_regular_words_linear(lin_eq):
