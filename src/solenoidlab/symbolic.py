@@ -228,7 +228,7 @@ def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
 
 def log_expansion_sums(spec: PerturbationSpec, pts: np.ndarray) -> np.ndarray:
     """S_n ln f' at every anchor of the level-n tree pts = level_endpoints(spec, n)."""
-    return tree_birkhoff_sums(pts, lambda x: np.log(f_eval(spec, np.asarray(x) % 1.0)[1]))
+    return tree_birkhoff_sums(pts, lambda x: np.log(f_eval(spec, x)[1]))
 
 
 def cylinder_rows(spec: PerturbationSpec, n: int):

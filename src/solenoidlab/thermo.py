@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .circle_map import PerturbationSpec, f_eval
+from .circle_map import PerturbationSpec, _mod1, f_eval
 from .symbolic import _MAX_LEVEL, endpoint_anchors, inverse_branch, level_endpoints
 from .symbolic import log_expansion_sums, tree_birkhoff_sums
 
@@ -78,7 +78,7 @@ class GridFunction:
 def _cell(x, m: int):
     """Linear stencil of x on m periodic nodes: cell j, its right node j + 1 mod m,
     and the offset of x within the cell, in [0, 1)."""
-    t = (np.asarray(x, dtype=float) % 1.0) * m
+    t = _mod1(np.asarray(x, dtype=float)) * m
     j = np.floor(t).astype(int) % m
     return j, (j + 1) % m, t - np.floor(t)
 
@@ -116,7 +116,7 @@ def _preimage_data(spec: PerturbationSpec, m: int):
     share one solve; the arrays are read-only because every caller gets them.
     """
     branches = [inverse_branch(spec, a, nodes(m)) for a in (0, 1)]
-    ys = tuple(y % 1.0 for y, _ in branches)
+    ys = tuple(_mod1(y) for y, _ in branches)
     fps = tuple(1.0 / d for _, d in branches)
     for arr in ys + fps:
         arr.setflags(write=False)
@@ -304,8 +304,8 @@ def measure_cdf(eq: EquilibriumData, x) -> np.ndarray:
 def ball_mass(eq: EquilibriumData, centers, r: float):
     """nu of the circular ball B(x, r), vectorized over centers."""
     c = np.asarray(centers, dtype=float)
-    lo = (c - r) % 1.0
-    hi = (c + r) % 1.0
+    lo = _mod1(c - r)
+    hi = _mod1(c + r)
     mass = measure_cdf(eq, hi) - measure_cdf(eq, lo)
     return np.where(mass < 0.0, mass + 1.0, mass)
 
@@ -313,12 +313,6 @@ def ball_mass(eq: EquilibriumData, centers, r: float):
 def cylinder_masses(eq: EquilibriumData, n: int) -> np.ndarray:
     """nu of every level-n cylinder, lexicographic order (sums to 1 exactly)."""
     return np.diff(measure_cdf(eq, level_endpoints(eq.spec, n)))
-
-
-def _phi_birkhoff(eq: EquilibriumData, pts: np.ndarray) -> np.ndarray:
-    """S_n phi at the anchors of the level-n tree pts."""
-    phi = eq.phi
-    return tree_birkhoff_sums(pts, lambda x: phi(np.asarray(x) % 1.0))
 
 
 def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
@@ -331,7 +325,7 @@ def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
         raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
     pts = level_endpoints(eq.spec, n)
     masses = np.diff(measure_cdf(eq, pts))
-    weights = np.exp(_phi_birkhoff(eq, pts))
+    weights = np.exp(tree_birkhoff_sums(pts, eq.phi))
     ratios = masses / weights
     return float(ratios.min()), float(ratios.max())
 
@@ -385,7 +379,7 @@ def _birkhoff_at_points(eq: EquilibriumData, pts: np.ndarray, steps: int):
     spec = eq.spec
     s_tau = np.zeros_like(pts)
     s_phi = np.zeros_like(pts)
-    x = pts % 1.0
+    x = pts
     for _ in range(steps):
         fx, fp = f_eval(spec, x)
         s_tau += np.log(fp)
@@ -421,7 +415,7 @@ def large_deviation_profile(
         pts = tree[:: 1 << (n_tree - n)]
         masses = np.diff(measure_cdf(eq, pts))
         bad = _outside_windows(
-            eq, log_expansion_sums(eq.spec, pts), _phi_birkhoff(eq, pts), n, epsilon
+            eq, log_expansion_sums(eq.spec, pts), tree_birkhoff_sums(pts, eq.phi), n, epsilon
         )
         entries.append((n, float(masses[bad].sum())))
     pos = [(n, f) for n, f in entries if f > 0.0]

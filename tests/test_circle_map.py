@@ -1,17 +1,22 @@
 """Checks for the coefficient table, bump sum, and exact lattice geometry."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from solenoidlab import circle_map
 from solenoidlab.circle_map import (
     BUMP_KINDS,
     LatticeReport,
     PerturbationSpec,
     PeriodicityError,
+    _mod1,
     bump_chi,
     circle_dist,
     coefficient_table,
@@ -23,6 +28,7 @@ from solenoidlab.circle_map import (
     periodic_theta,
     verify_lattice,
 )
+from solenoidlab.solenoid import _CHUNK, _QUARTER_PI_INV, push_forward
 
 # alpha_2 evaluated once at 60 digits and frozen; it doubles as the
 # regression constant for the coefficient table.
@@ -171,6 +177,131 @@ def test_smoothstep_spec_builds():
     g, gp = g_eval(spec, 1.0 / 3.0)
     assert g == pytest.approx(0.0, abs=1e-18)
     assert gp == pytest.approx(spec.alphas[0], abs=1e-18)
+
+
+# ---------------------------------------------------------------------------
+# the mod-1 reduction against NumPy's remainder
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _g_reference(spec, x):
+    """g and g' written with NumPy's remainder, the reference for _mod1."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+    g = np.zeros_like(xv)
+    gp = np.zeros_like(xv)
+    for i, alpha in enumerate(spec.alphas):
+        n = i + 2
+        scale = 8.0**n
+        u = scale * (xv - 1.0 / (2.0**n - 1.0))
+        live = np.abs(u) < 0.5
+        chi, dchi = bump_chi(u[live], spec.bump_kind)
+        g[live] += alpha / scale * chi
+        gp[live] += alpha * dchi
+    return g, gp
+
+
+def _f_reference(spec, x):
+    xv = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+    g, gp = _g_reference(spec, xv)
+    return (2.0 * xv + g) % 1.0, 2.0 + gp
+
+
+@_PROPERTY
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=-1e-20)  # reduces to exactly 1.0
+@example(x=np.nextafter(1.0, 0.0))
+@example(x=2.0**52 - 0.5)  # the largest double with a fractional part
+@example(x=-(2.0**52) + 0.5)
+@example(x=2.0**53 + 2.0)  # 2^53 + 1 is not a double; the next one up is 2^53 + 2
+@example(x=1e308)
+@example(x=-1e308)
+def test_mod1_matches_numpy_remainder(x):
+    arr = np.array([x])
+    assert _bits(_mod1(arr))[0] == _bits(arr % 1.0)[0]
+    assert _bits(_mod1(x)) == _bits(np.float64(x) % 1.0)
+
+
+def test_mod1_matches_numpy_remainder_on_random_bit_patterns():
+    rng = np.random.default_rng(12)
+    x = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 1 << 18, dtype=np.int64)
+    x = x.view(np.float64)
+    x = np.concatenate([x[np.isfinite(x)], rng.uniform(-2.0, 2.0, 1 << 16) * 1e-18])
+    assert np.array_equal(_bits(_mod1(x)), _bits(x % 1.0))
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_mod1_of_non_finite_is_nan(x):
+    arr = np.array([x])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_mod1(arr)[0]) and np.isnan((arr % 1.0)[0])
+
+
+def _reduction_inputs(spec, seed):
+    rng = np.random.default_rng(seed)
+    orders = np.arange(2, spec.n_max + 1)[:, None]
+    offsets = rng.uniform(-1.0, 1.0, (orders.size, 500)) * 8.0**-orders
+    near = (1.0 / (2.0**orders - 1.0) + offsets).ravel()
+    return np.concatenate([
+        rng.uniform(-2.0, 3.0, 20_000),
+        -rng.uniform(0.0, 1.0, 500) * 10.0 ** rng.integers(-320, -10, 500),
+        near, near - 1.0, near + 2.0,
+        [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -1e-20, -5e-324, 5e-324, np.nextafter(1.0, 0.0)],
+    ])
+
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+@pytest.mark.parametrize("n_max", [1, 3, 5, 8])
+def test_f_and_g_match_remainder_reference(kind, n_max):
+    spec = coefficient_table(n_max, kind)
+    x = _reduction_inputs(spec, n_max)
+    got = g_eval(spec, x) + f_eval(spec, x)
+    want = _g_reference(spec, x) + _f_reference(spec, x)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_push_forward_matches_remainder_reference(spec):
+    rng = np.random.default_rng(5)
+    count = 2 * _CHUNK + 777
+    thetas, xs, ys = rng.random(count), rng.uniform(-0.2, 0.2, count), rng.uniform(-0.2, 0.2, count)
+    got = push_forward(spec, thetas, xs, ys, 20)
+    for _ in range(20):
+        ang = 2.0 * np.pi * thetas
+        thetas, _ = _f_reference(spec, thetas)
+        xs = 0.25 * xs + _QUARTER_PI_INV * np.cos(ang)
+        ys = 0.25 * ys + _QUARTER_PI_INV * np.sin(ang)
+    for a, b in zip(got, (thetas, xs, ys)):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_one_mod1_reduction_in_package():
+    # _mod1 is the one float reduction mod 1, so no site can drift back to
+    # NumPy's slower remainder; integer reductions such as j % m are left alone.
+    found = []
+    for path in sorted(Path(circle_map.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+                right = node.right if isinstance(node, ast.BinOp) else node.value
+                if isinstance(right, ast.Constant) and right.value == 1:
+                    found.append((path.name, node.lineno))
+            callee = getattr(node, "func", None)
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr in ("mod", "remainder", "fmod")
+                and getattr(callee.value, "id", None) in ("np", "numpy")
+            ):
+                found.append((path.name, node.lineno))
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

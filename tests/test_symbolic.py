@@ -257,3 +257,17 @@ def test_property_inverse_branch_inverts_f(kind, a, x):
 def test_property_tree_anchor_is_cylinder_anchor(kind, word):
     anchors = _tree_anchors(kind, len(word))
     assert anchors[word_index(word)] == pytest.approx(cylinder(_SPECS[kind], word).anchor, abs=1e-13)
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(BUMP_KINDS), n_max=st.sampled_from((1, 3, 5, 8)), n=st.integers(2, 14))
+def test_property_level_tree_tiles_and_f_maps_it_onto_the_coarser_tree(kind, n_max, n):
+    # f carries level-n endpoint i onto level-(n-1) endpoint i mod 2^(n-1);
+    # this evaluates f at exactly 1/2 and 1, where the reduction decides the answer
+    spec = coefficient_table(n_max, bump_kind=kind)
+    pts = level_endpoints(spec, n)
+    assert pts[0] == 0.0 and pts[-1] == 1.0
+    assert np.all(np.diff(pts) > 0)
+    coarse = pts[::2]
+    i = np.arange(pts.size)
+    assert np.all(circle_dist(f_eval(spec, pts)[0], coarse[i % (1 << (n - 1))]) < 1e-14)
