@@ -212,8 +212,10 @@ def _mod1(x):
     rounding of the real number x - floor(x), so the two agree bit for bit.
     A tiny negative x therefore reduces to exactly 1.0 on both.  NaN and
     +-inf give NaN on both.  Every mod-1 reduction in the package goes here.
+    The difference overwrites the floor temporary, never x itself.
     """
-    return x - np.floor(x)
+    f = np.floor(x)
+    return np.subtract(x, f, out=f if np.ndim(f) else None)
 
 
 def circle_dist(a, b):

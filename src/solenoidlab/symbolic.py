@@ -21,7 +21,7 @@ right endpoint 1 (the circle point 0) is a legal lift coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ __all__ = [
     "Word",
     "Cylinder",
     "BranchSolverError",
-    "inverse_branch",
     "apply_word",
+    "preimage_tree",
     "cylinder",
     "level_endpoints",
     "endpoint_anchors",
@@ -66,7 +66,7 @@ def _check_word(w: Sequence[int]) -> Word:
     return tuple(int(s) for s in word)
 
 
-def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray):
+def _solve_branch(spec: PerturbationSpec, a: int, x: np.ndarray):
     """Solve 2y + g(y) = x + a for y in [a/2, (a+1)/2], vectorized; returns (y, g'(y)).
 
     Iterates y <- (x + a - g(y)) / 2 from y = (x + a) / 2 until the sweep
@@ -91,23 +91,19 @@ def _solve_branch(spec: PerturbationSpec, a: np.ndarray, x: np.ndarray):
     return y, gp
 
 
-def inverse_branch(spec: PerturbationSpec, a: int, x):
-    """Preimage of x under f in the half selected by symbol a, with |g_a'| = 1/f'.
+def _identity(x):
+    """The empty word at x: the points, checked to lie in [0, 1], with unit derivatives."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):
+        raise ValueError("x must lie in [0, 1]")
+    return xv, np.ones_like(xv)
 
-    The one-symbol apply_word: the result lies in [a/2, (a+1)/2] and
-    satisfies f(y) = x to residual below 1e-14.
-    """
-    return apply_word(spec, (a,), x)
 
-
-def _apply_symbols(spec, symbols_per_step: Iterable, x: np.ndarray):
-    """Apply inverse branches right to left; each step's symbols may be an array."""
-    y = x
-    deriv = np.ones_like(x)
-    for syms in symbols_per_step:
-        a = np.broadcast_to(np.asarray(syms, dtype=float), y.shape)
+def _compose(spec: PerturbationSpec, word: Word, y: np.ndarray, deriv: np.ndarray):
+    """Apply the branches of word right to left to y, dividing deriv by f' at each step."""
+    for a in reversed(word):
         y, gp = _solve_branch(spec, a, y)
-        deriv /= 2.0 + gp
+        deriv = deriv / (2.0 + gp)
     return y, deriv
 
 
@@ -119,15 +115,27 @@ def apply_word(spec: PerturbationSpec, w: Sequence[int], x):
     and the derivative is the product of 1/f' along the returned point's
     forward orbit.  The empty word is the identity.
     """
-    word = _check_word(w)
-    scalar = np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xv >= 0.0) & (xv <= 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    y, deriv = _apply_symbols(spec, reversed(word), xv)
-    if scalar:
+    y, deriv = _compose(spec, _check_word(w), *_identity(x))
+    if np.ndim(x) == 0:
         return float(y[0]), float(deriv[0])
     return y, deriv
+
+
+def preimage_tree(spec: PerturbationSpec, x, n: int):
+    """g_w(x) and its chain-rule derivative for every word w of length n.
+
+    Row i, one column per entry of x, is apply_word(spec, index_word(i, n), x)
+    bit for bit; each level solves branch 0, then branch 1, on the last rows.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    y, deriv = _identity(x)
+    for _ in range(n):
+        solved = [_solve_branch(spec, a, y) for a in (0, 1)]
+        y = np.concatenate([ya for ya, _ in solved])
+        deriv = np.concatenate([deriv / (2.0 + gp) for _, gp in solved])
+    shape = (1 << n,) + np.shape(x)
+    return y.reshape(shape), deriv.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,7 @@ def cylinder(spec: PerturbationSpec, w: Sequence[int]) -> Cylinder:
     word = _check_word(w)
     if not word:
         return Cylinder((), 0.0, 1.0, 0.0)
-    lo, _ = apply_word(spec, word, 0.0)
-    hi, _ = apply_word(spec, word, 1.0)
+    lo, hi = map(float, apply_word(spec, word, [0.0, 1.0])[0])
     anchor = lo if word[-1] == 0 else hi
     return Cylinder(word, lo, hi, anchor)
 
@@ -178,16 +185,9 @@ def level_endpoints(spec: PerturbationSpec, n: int) -> np.ndarray:
     """The 2^n + 1 sorted cylinder endpoints at level n.
 
     In lexicographic word order, cylinder i at level n is
-    [endpoints[i], endpoints[i + 1]].
+    [endpoints[i], endpoints[i + 1]]; the left endpoints are f^-n(0).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    pts = np.array([0.0, 1.0])
-    for _ in range(n):
-        left, _ = inverse_branch(spec, 0, pts)
-        right, _ = inverse_branch(spec, 1, pts)
-        pts = np.concatenate([left, right[1:]])
-    return pts
+    return np.append(preimage_tree(spec, 0.0, n)[0], 1.0)
 
 
 def endpoint_anchors(pts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circle_map import PerturbationSpec, _mod1, f_eval
-from .symbolic import _MAX_LEVEL, endpoint_anchors, inverse_branch, level_endpoints
+from .symbolic import _MAX_LEVEL, endpoint_anchors, level_endpoints, preimage_tree
 from .symbolic import log_expansion_sums, tree_birkhoff_sums
 
 __all__ = [
@@ -115,9 +115,9 @@ def _preimage_data(spec: PerturbationSpec, m: int):
     Memoized for the last (spec, m), so the transfer matrices of one grid
     share one solve; the arrays are read-only because every caller gets them.
     """
-    branches = [inverse_branch(spec, a, nodes(m)) for a in (0, 1)]
-    ys = tuple(_mod1(y) for y, _ in branches)
-    fps = tuple(1.0 / d for _, d in branches)
+    y, deriv = preimage_tree(spec, nodes(m), 1)
+    ys = tuple(_mod1(y))
+    fps = tuple(1.0 / deriv)
     for arr in ys + fps:
         arr.setflags(write=False)
     return ys, fps

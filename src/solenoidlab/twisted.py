@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .solenoid import _thread_map
-from .symbolic import _apply_symbols, _check_word
+from .symbolic import _check_word, _compose, preimage_tree
 from .thermo import EquilibriumData, transfer_matrix
 
 __all__ = [
@@ -82,12 +82,9 @@ def zeta_table(eq: EquilibriumData, context: Sequence[int], n: int) -> ZetaTable
     if len(ctx) != n + 1:
         raise ValueError(f"context must have length n + 1 = {n + 1}, got {len(ctx)}")
 
-    idx = np.arange(1 << (n + 1))
-    # anchors: the fixed point of branch b_last, 0 for symbol 0 and 1 for 1
-    start = (idx & 1).astype(float)
-    # branches of b' (bits n..1, applied right to left), then context'
-    steps = [(idx >> bit) & 1 for bit in range(1, n + 1)] + list(reversed(ctx[:-1]))
-    _, deriv = _apply_symbols(eq.spec, steps, start)
+    # row b', column s is the word b' s at its anchor s; raveled, index 2 b' + s
+    y, deriv = preimage_tree(eq.spec, [0.0, 1.0], n)
+    _, deriv = _compose(eq.spec, ctx[:-1], y.ravel(), deriv.ravel())
 
     values = np.exp(2.0 * eq.lyapunov * n) * deriv
     return ZetaTable(values)

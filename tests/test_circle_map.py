@@ -239,6 +239,15 @@ def test_mod1_matches_numpy_remainder_on_random_bit_patterns():
     assert np.array_equal(_bits(_mod1(x)), _bits(x % 1.0))
 
 
+def test_mod1_leaves_its_input_unchanged():
+    x = np.array([-2.75, -1e-18, 0.0, 0.5, 1.0, 3.25])
+    x.setflags(write=False)
+    kept = x.copy()
+    assert np.array_equal(_bits(_mod1(x)), _bits(kept % 1.0))
+    assert np.array_equal(_bits(x), _bits(kept))
+    assert type(_mod1(-2.75)) is np.float64
+
+
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
 def test_mod1_of_non_finite_is_nan(x):
     arr = np.array([x])

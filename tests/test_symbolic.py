@@ -1,6 +1,7 @@
 """Inverse branches, word composition, and cylinder tilings."""
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from solenoidlab.circle_map import (
     g_eval,
     linear_spec,
 )
+from solenoidlab.twisted import zeta_table
 from solenoidlab.symbolic import (
     BranchSolverError,
     anchor_birkhoff_sums,
@@ -22,8 +24,8 @@ from solenoidlab.symbolic import (
     cylinder,
     endpoint_anchors,
     index_word,
-    inverse_branch,
     level_endpoints,
+    preimage_tree,
     word_index,
 )
 
@@ -35,10 +37,10 @@ def spec():
 
 def test_inverse_branch_linear_cases():
     lin = linear_spec()
-    y, d = inverse_branch(lin, 0, 0.5)
+    y, d = apply_word(lin, (0,), 0.5)
     assert y == pytest.approx(0.25, abs=1e-15)
     assert d == pytest.approx(0.5, abs=1e-15)
-    y, d = inverse_branch(lin, 1, 0.0)
+    y, d = apply_word(lin, (1,), 0.0)
     assert y == pytest.approx(0.5, abs=1e-15)
     assert d == pytest.approx(0.5, abs=1e-15)
 
@@ -47,7 +49,7 @@ def test_inverse_branch_residual_contract(spec):
     rng = np.random.default_rng(23)
     x = rng.random(5000)
     for a in (0, 1):
-        y, _ = inverse_branch(spec, a, x)
+        y, _ = apply_word(spec, (a,), x)
         fx, _ = f_eval(spec, y)
         resid = np.abs(fx - x)
         resid = np.minimum(resid, 1.0 - resid)
@@ -59,9 +61,9 @@ def test_inverse_branch_residual_contract(spec):
 def test_inverse_branch_rejects_nan_and_out_of_range(spec):
     for x in (np.nan, -1e-12, 1.0 + 1e-12):
         with pytest.raises(ValueError):
-            inverse_branch(spec, 0, x)
+            apply_word(spec, (0,), x)
     with pytest.raises(ValueError):
-        inverse_branch(spec, 1, np.array([0.2, np.nan, 0.7]))
+        apply_word(spec, (1,), np.array([0.2, np.nan, 0.7]))
     for x in (np.nan, 1.5):
         with pytest.raises(ValueError):
             apply_word(spec, (0,), x)
@@ -76,7 +78,7 @@ def test_inverse_branch_rejects_nan_and_out_of_range(spec):
 
 def test_apply_word_nan_fails_residual_contract(spec):
     with pytest.raises(BranchSolverError):
-        symbolic._apply_symbols(spec, (1, 0), np.array([np.nan]))
+        symbolic._solve_branch(spec, 1, np.array([np.nan]))
 
 
 def test_solver_raises_when_iteration_cannot_converge(spec, monkeypatch):
@@ -87,7 +89,7 @@ def test_solver_raises_when_iteration_cannot_converge(spec, monkeypatch):
 
     monkeypatch.setattr(symbolic, "g_eval", runaway)
     with pytest.raises(BranchSolverError):
-        inverse_branch(spec, 0, 0.3)
+        apply_word(spec, (0,), 0.3)
 
 
 def test_apply_word_empty(spec):
@@ -126,8 +128,8 @@ _TREE_SPECS = [
 @pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
 def test_branch_fixed_points_exact(kind, n_max):
     spec = coefficient_table(n_max, bump_kind=kind)
-    assert inverse_branch(spec, 0, 0.0)[0] == 0.0
-    assert inverse_branch(spec, 1, 1.0)[0] == 1.0
+    assert apply_word(spec, (0,), 0.0)[0] == 0.0
+    assert apply_word(spec, (1,), 1.0)[0] == 1.0
 
 
 @pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
@@ -136,6 +138,70 @@ def test_level_tree_slices_are_coarser_levels(kind, n_max):
     tree = level_endpoints(spec, 14)
     for k in range(15):
         assert np.array_equal(tree[:: 1 << (14 - k)], level_endpoints(spec, k))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _reference_levels(spec, n):
+    """Endpoints of levels 0..n by the per-level loop that preceded preimage_tree."""
+    levels = [np.array([0.0, 1.0])]
+    for _ in range(n):
+        left, _ = apply_word(spec, (0,), levels[-1])
+        right, _ = apply_word(spec, (1,), levels[-1])
+        levels.append(np.concatenate([left, right[1:]]))
+    return levels
+
+
+def _reference_zeta_derivs(spec, context, n):
+    """zeta_table's composition before preimage_tree: one symbol array per step.
+
+    Word index idx carries the anchor symbol in bit 0 and b' in bits n..1;
+    the steps apply b' right to left and then context' right to left.
+    """
+    idx = np.arange(1 << (n + 1))
+    y = (idx & 1).astype(float)
+    deriv = np.ones_like(y)
+    steps = [(idx >> bit) & 1 for bit in range(1, n + 1)] + list(reversed(context[:-1]))
+    for syms in steps:
+        y, gp = symbolic._solve_branch(spec, np.asarray(syms, dtype=float), y)
+        deriv /= 2.0 + gp
+    return deriv
+
+
+@pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
+def test_level_endpoints_match_the_per_level_loop_bit_for_bit(kind, n_max):
+    spec = coefficient_table(n_max, bump_kind=kind)
+    for n, ref in enumerate(_reference_levels(spec, 16)):
+        assert np.array_equal(_bits(level_endpoints(spec, n)), _bits(ref)), n
+
+
+@pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
+def test_zeta_table_matches_per_step_symbol_arrays_bit_for_bit(kind, n_max):
+    # zeta_table reads only the spec and the exponent; at exponent 0 its
+    # values are the composed derivatives themselves
+    spec = coefficient_table(n_max, bump_kind=kind)
+    eq = SimpleNamespace(spec=spec, lyapunov=0.0)
+    rng = np.random.default_rng(n_max)
+    for n in range(1, 15):
+        for _ in range(2):
+            context = tuple(int(s) for s in rng.integers(0, 2, n + 1))
+            ref = _reference_zeta_derivs(spec, context, n)
+            assert np.array_equal(_bits(zeta_table(eq, context, n).values), _bits(ref)), context
+
+
+def test_preimage_tree_shapes_and_checks(spec):
+    y, deriv = preimage_tree(spec, 0.3, 0)
+    assert y.shape == deriv.shape == (1,) and y[0] == 0.3 and deriv[0] == 1.0
+    y, deriv = preimage_tree(spec, [0.0, 0.5, 1.0], 4)
+    assert y.shape == deriv.shape == (16, 3)
+    assert np.all(np.diff(y[:, 0]) > 0)
+    for x in (np.nan, -1e-12, [0.5, 1.0 + 1e-12]):
+        with pytest.raises(ValueError):
+            preimage_tree(spec, x, 2)
+    with pytest.raises(ValueError):
+        preimage_tree(spec, 0.5, -1)
 
 
 def test_cylinder_linear_01():
@@ -175,8 +241,8 @@ def test_refinement(spec):
         a = int(rng.integers(0, 2))
         child = cylinder(spec, (a,) + word)
         parent = cylinder(spec, word)
-        lo, _ = inverse_branch(spec, a, parent.lo)
-        hi, _ = inverse_branch(spec, a, parent.hi)
+        lo, _ = apply_word(spec, (a,), parent.lo)
+        hi, _ = apply_word(spec, (a,), parent.hi)
         assert child.lo == pytest.approx(lo, abs=1e-12)
         assert child.hi == pytest.approx(hi, abs=1e-12)
 
@@ -247,7 +313,7 @@ _X = st.one_of(
 @_PROPERTY
 @given(kind=st.sampled_from(BUMP_KINDS), a=st.sampled_from((0, 1)), x=_X)
 def test_property_inverse_branch_inverts_f(kind, a, x):
-    y, _ = inverse_branch(_SPECS[kind], a, x)
+    y, _ = apply_word(_SPECS[kind], (a,), x)
     assert 0.5 * a <= y <= 0.5 * (a + 1)
     assert circle_dist(f_eval(_SPECS[kind], y)[0], x) < 1e-14
 
@@ -256,7 +322,30 @@ def test_property_inverse_branch_inverts_f(kind, a, x):
 @given(kind=st.sampled_from(BUMP_KINDS), word=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
 def test_property_tree_anchor_is_cylinder_anchor(kind, word):
     anchors = _tree_anchors(kind, len(word))
-    assert anchors[word_index(word)] == pytest.approx(cylinder(_SPECS[kind], word).anchor, abs=1e-13)
+    assert anchors[word_index(word)] == cylinder(_SPECS[kind], word).anchor
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(BUMP_KINDS), n=st.integers(0, 6), x=_X)
+def test_property_tree_rows_are_composed_words(kind, n, x):
+    cols = np.array([x, 0.0, 1.0])
+    y, deriv = preimage_tree(_SPECS[kind], cols, n)
+    for i in range(1 << n):
+        wy, wd = apply_word(_SPECS[kind], index_word(i, n), cols)
+        assert np.array_equal(_bits(y[i]), _bits(wy))
+        assert np.array_equal(_bits(deriv[i]), _bits(wd))
+
+
+@_PROPERTY
+@given(kind=st.sampled_from(BUMP_KINDS), word=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
+def test_property_cylinder_children_tile_the_parent_exactly(kind, word):
+    # g_0(0) = 0.0, g_1(1) = 1.0 and g_0(1) = g_1(0) bit for bit, so the
+    # children of w share its endpoints and their common one exactly
+    parent = cylinder(_SPECS[kind], word)
+    left, right = (cylinder(_SPECS[kind], word + [a]) for a in (0, 1))
+    assert left.lo == parent.lo and right.hi == parent.hi
+    assert left.hi == right.lo
+    assert parent.lo < left.hi < parent.hi
 
 
 @_PROPERTY

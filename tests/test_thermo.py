@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solenoidlab import symbolic, thermo
-from solenoidlab.circle_map import coefficient_table, f_eval, linear_spec
+from solenoidlab.circle_map import _mod1, coefficient_table, f_eval, linear_spec
+from solenoidlab.symbolic import apply_word
 from solenoidlab.thermo import (
     GridFunction,
     cylinder_masses,
@@ -93,7 +94,7 @@ def test_preimages_solved_once_per_spec_and_grid(spec, fresh_preimages, monkeypa
     real = symbolic._solve_branch
 
     def counting(spec_, a, x):
-        branches.append(float(a[0]))
+        branches.append(float(a))
         return real(spec_, a, x)
 
     monkeypatch.setattr(symbolic, "_solve_branch", counting)
@@ -109,6 +110,15 @@ def test_cached_preimages_are_read_only(spec, fresh_preimages):
     for arr in ys + fps:
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+@pytest.mark.parametrize("m", [1 << 10, 1 << 14])
+def test_preimages_match_one_symbol_words_bit_for_bit(spec, fresh_preimages, m):
+    ys, fps = thermo._preimage_data(spec, m)
+    for a in (0, 1):
+        y, deriv = apply_word(spec, (a,), nodes(m))
+        assert np.array_equal(ys[a].view(np.int64), _mod1(y).view(np.int64))
+        assert np.array_equal(fps[a].view(np.int64), (1.0 / deriv).view(np.int64))
 
 
 def test_preimages_follow_spec_and_grid(spec, fresh_preimages):
@@ -165,15 +175,13 @@ def _tree_pressure(spec, psi_fn, depth):
     pressure; this route uses exact branch solves and exact potential
     values, independent of the grid discretization.
     """
-    from solenoidlab.symbolic import inverse_branch
-
     x0 = np.array([0.37])
     pts = x0
     sums = np.zeros(1)
     prev_log = 0.0
     for level in range(1, depth + 1):
-        y0, _ = inverse_branch(spec, 0, pts)
-        y1, _ = inverse_branch(spec, 1, pts)
+        y0, _ = apply_word(spec, (0,), pts)
+        y1, _ = apply_word(spec, (1,), pts)
         pts = np.concatenate([y0, y1])
         sums = np.concatenate([sums, sums]) + psi_fn(pts)
         log_now = float(np.log(np.exp(sums - sums.max()).sum()) + sums.max())
