@@ -266,6 +266,8 @@ def f_eval(spec: PerturbationSpec, x):
 # periodic points
 # ---------------------------------------------------------------------------
 
+# Orbit-closure tolerance of periodic_theta, lyapunov_periodic and
+# solenoid.periodic_orbit: a residual at or above it raises.
 _PERIODIC_TOL = 1e-12
 
 
@@ -300,7 +302,7 @@ def lyapunov_periodic(spec: PerturbationSpec, theta: float, N: int) -> float:
         total += np.log(fp)
         y = fy
     residual = circle_dist(y, start)
-    if residual > 1e-10:
+    if residual >= _PERIODIC_TOL:
         raise PeriodicityError(
             f"point {theta!r} is not {N}-periodic (residual {residual:.3e})"
         )

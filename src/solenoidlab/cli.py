@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .circle_map import BUMP_KINDS, coefficient_table, lyapunov_target, verify_lattice
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
-from .solenoid import _worker_count, periodic_orbit, trajectory_rows
+from .solenoid import _worker_count, periodic_orbit
 from .symbolic import _MAX_LEVEL, cylinder_rows
 from .thermo import (
     EquilibriumData,
@@ -97,23 +97,23 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def resolve_config(overrides: dict | None = None, config_path: str | None = None) -> dict:
-    """Merge defaults, an optional config file (or manifest), and overrides."""
+    """Merge defaults, an optional config file (or manifest), and overrides.
+
+    When neither the file nor an override gives zeta_context, it is the
+    alternating 0101... word of length zeta_n + 1.
+    """
     config = dict(DEFAULTS)
+    given = {}
     if config_path:
         with open(config_path) as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict) and "config" in loaded and "experiment" in loaded:
-            loaded = loaded["config"]  # accept an emitted manifest directly
-        config.update(loaded)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            config[key] = value
+            given = json.load(fh)
+        if isinstance(given, dict) and "config" in given and "experiment" in given:
+            given = given["config"]  # accept an emitted manifest directly
+        config.update(given)
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    config.update(flags)
     _check_keys(config)
-    if (
-        config["zeta_context"] == DEFAULTS["zeta_context"]
-        and config["zeta_n"] != DEFAULTS["zeta_n"]
-    ):
-        # keep the alternating default context in step with a changed block length
+    if "zeta_context" not in given and "zeta_context" not in flags:
         config["zeta_context"] = ("01" * (config["zeta_n"] + 1))[: config["zeta_n"] + 1]
     return config
 
@@ -262,7 +262,7 @@ def _run_construct(config: dict, out: Path, _eq: None) -> None:
     _write_json(out / "lattice.json", asdict(report))
     for N in config["orbit_periods"]:
         orbit = periodic_orbit(spec, N)
-        rows = trajectory_rows(spec, orbit.points[0], N - 1)
+        rows = [(*p, d) for p, d in zip(orbit.points, orbit.derivs)]
         _write_csv(out / f"orbit_{N}.csv", ["theta", "x", "y", "unstable_deriv"], rows)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle_map import PerturbationSpec, circle_dist, f_eval, lyapunov_periodic
+from .circle_map import _PERIODIC_TOL, PerturbationSpec, circle_dist, f_eval
 
 __all__ = [
     "SolenoidPoint",
@@ -28,7 +28,6 @@ __all__ = [
     "jacobian",
     "periodic_orbit",
     "bunching_margin",
-    "trajectory_rows",
 ]
 
 _QUARTER_PI_INV = 1.0 / (4.0 * np.pi)
@@ -53,8 +52,11 @@ class SolenoidPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
+    """points[i + 1] = F(points[i]), closing on points[0]; derivs[i] = f'(points[i].theta)."""
+
     period: int
     points: tuple[SolenoidPoint, ...]
+    derivs: tuple[float, ...]
     unstable_exponent: float
 
 
@@ -151,7 +153,8 @@ def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
 
     The fiber coordinates come from contraction iteration of F^N starting on
     the central fiber; each sweep shrinks errors by 4^-N so convergence to
-    _FIBER_TOL is geometric.
+    _FIBER_TOL is geometric.  The closing walk records the unstable
+    derivatives, and the exponent is the mean of their logs in walk order.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -171,34 +174,23 @@ def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
             f"fiber iteration for period {N} did not settle within {_FIBER_SWEEPS} sweeps"
         )
 
-    points = [p]
+    points, derivs = [p], []
     for _ in range(N):
-        points.append(step(spec, points[-1])[0])
+        image, deriv = step(spec, points[-1])
+        points.append(image)
+        derivs.append(deriv)
     closing = points.pop()
     residual = max(
         circle_dist(closing.theta, p.theta),
         abs(closing.x - p.x),
         abs(closing.y - p.y),
     )
-    if residual > 1e-12:
+    if residual >= _PERIODIC_TOL:
         raise FiberConvergenceError(
             f"orbit of period {N} fails to close: residual {residual:.3e}"
         )
-
-    exponent = lyapunov_periodic(spec, theta0, N)
-    return PeriodicOrbit(N, tuple(points), exponent)
-
-
-def trajectory_rows(spec: PerturbationSpec, p: SolenoidPoint, K: int):
-    """Forward trajectory as (theta, x, y, unstable_deriv) rows, p included."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    rows = []
-    for _ in range(K + 1):
-        image, deriv = step(spec, p)
-        rows.append((*p, deriv))
-        p = image
-    return rows
+    exponent = sum(np.log(d) for d in derivs) / N
+    return PeriodicOrbit(N, tuple(points), tuple(derivs), exponent)
 
 
 def bunching_margin(spec: PerturbationSpec, grid_size: int) -> float:

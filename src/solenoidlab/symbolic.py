@@ -200,34 +200,35 @@ def endpoint_anchors(pts: np.ndarray) -> np.ndarray:
     return np.where(idx & 1 == 0, pts[idx], pts[idx + 1])
 
 
-def tree_birkhoff_sums(pts: np.ndarray, fn) -> np.ndarray:
-    """Birkhoff sums S_n fn at every anchor of the level-n tree pts = level_endpoints(spec, n).
+def tree_birkhoff_sums(pts: np.ndarray, fn) -> list[np.ndarray]:
+    """Birkhoff sums S_k fn at every level-k anchor of the tree pts = level_endpoints(spec, n).
 
-    Uses f(x_w) = x_{shift w} to share suffix sums across the word tree:
-    the level-k sums are fn(anchor) plus the level-(k-1) sums of the
+    Entry k - 1 holds the level-k sums, k = 1..n, from one pass over the
+    tree.  Uses f(x_w) = x_{shift w} to share suffix sums across the word
+    tree: the level-k sums are fn(anchor) plus the level-(k-1) sums of the
     words with the first symbol dropped, the level-k endpoints being
     pts[::2^(n-k)].  fn must accept arrays.
     """
     n = (pts.size - 1).bit_length() - 1
     if n < 1 or pts.size != (1 << n) + 1:
         raise ValueError("pts must hold the 2^n + 1 endpoints of a level n >= 1")
-    sums = np.asarray(fn(endpoint_anchors(pts[:: 1 << (n - 1)])), dtype=float)
+    levels = [np.asarray(fn(endpoint_anchors(pts[:: 1 << (n - 1)])), dtype=float)]
     for k in range(2, n + 1):
         anchors = endpoint_anchors(pts[:: 1 << (n - k)])
         idx = np.arange(1 << k) & ((1 << (k - 1)) - 1)
-        sums = np.asarray(fn(anchors), dtype=float) + sums[idx]
-    return sums
+        levels.append(np.asarray(fn(anchors), dtype=float) + levels[-1][idx])
+    return levels
 
 
 def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
     """Birkhoff sums S_n fn at every level-n anchor, in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tree_birkhoff_sums(level_endpoints(spec, n), fn)
+    return tree_birkhoff_sums(level_endpoints(spec, n), fn)[-1]
 
 
-def log_expansion_sums(spec: PerturbationSpec, pts: np.ndarray) -> np.ndarray:
-    """S_n ln f' at every anchor of the level-n tree pts = level_endpoints(spec, n)."""
+def log_expansion_sums(spec: PerturbationSpec, pts: np.ndarray) -> list[np.ndarray]:
+    """S_k ln f' at every level-k anchor of the tree pts, at entry k - 1, as tree_birkhoff_sums."""
     return tree_birkhoff_sums(pts, lambda x: np.log(f_eval(spec, x)[1]))
 
 
@@ -242,7 +243,7 @@ def cylinder_rows(spec: PerturbationSpec, n: int):
         raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
     pts = level_endpoints(spec, n)
     anchors = endpoint_anchors(pts)
-    derivs = np.exp(-log_expansion_sums(spec, pts))
+    derivs = np.exp(-log_expansion_sums(spec, pts)[-1])
     rows = []
     for i in range(1 << n):
         word = "".join(str(b) for b in index_word(i, n))

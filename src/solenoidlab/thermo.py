@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circle_map import PerturbationSpec, _mod1, f_eval
-from .symbolic import _MAX_LEVEL, endpoint_anchors, level_endpoints, preimage_tree
+from .symbolic import _MAX_LEVEL, level_endpoints, preimage_tree
 from .symbolic import log_expansion_sums, tree_birkhoff_sums
 
 __all__ = [
@@ -58,7 +58,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        m = vals.shape[0]
+        m = vals.size
         if vals.ndim != 1 or m < 1024 or m & (m - 1):
             raise ValueError("grid size must be a power of two >= 2^10")
         object.__setattr__(self, "values", vals)
@@ -325,7 +325,7 @@ def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
         raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
     pts = level_endpoints(eq.spec, n)
     masses = np.diff(measure_cdf(eq, pts))
-    weights = np.exp(tree_birkhoff_sums(pts, eq.phi))
+    weights = np.exp(tree_birkhoff_sums(pts, eq.phi)[-1])
     ratios = masses / weights
     return float(ratios.min()), float(ratios.max())
 
@@ -374,20 +374,6 @@ def _outside_windows(
     return bad_rate | bad_dim
 
 
-def _birkhoff_at_points(eq: EquilibriumData, pts: np.ndarray, steps: int):
-    """n-step Birkhoff sums of ln f' and of phi starting at the given points."""
-    spec = eq.spec
-    s_tau = np.zeros_like(pts)
-    s_phi = np.zeros_like(pts)
-    x = pts
-    for _ in range(steps):
-        fx, fp = f_eval(spec, x)
-        s_tau += np.log(fp)
-        s_phi += eq.phi(x)
-        x = fx
-    return s_tau, s_phi
-
-
 def large_deviation_profile(
     eq: EquilibriumData,
     epsilon: float,
@@ -410,13 +396,12 @@ def large_deviation_profile(
         raise ValueError(f"block lengths must be in 1..{_MAX_LEVEL}")
     n_tree = max(n_list, default=0)
     tree = level_endpoints(eq.spec, n_tree)
+    cdf = measure_cdf(eq, tree)
+    s_tau, s_phi = log_expansion_sums(eq.spec, tree), tree_birkhoff_sums(tree, eq.phi)
     entries = []
     for n in n_list:
-        pts = tree[:: 1 << (n_tree - n)]
-        masses = np.diff(measure_cdf(eq, pts))
-        bad = _outside_windows(
-            eq, log_expansion_sums(eq.spec, pts), tree_birkhoff_sums(pts, eq.phi), n, epsilon
-        )
+        masses = np.diff(cdf[:: 1 << (n_tree - n)])
+        bad = _outside_windows(eq, s_tau[n - 1], s_phi[n - 1], n, epsilon)
         entries.append((n, float(masses[bad].sum())))
     pos = [(n, f) for n, f in entries if f > 0.0]
     if len(pos) >= 2:
@@ -441,11 +426,17 @@ def regular_words(
     when given, keeps only words whose cylinders meet the interval
     [window[0], window[1]].  Returns (lexicographic indices,
     e^{dim * lyap * n}), the second being the cardinality benchmark.
+
+    The anchor's n-step orbit ends on the fixed point 0 or 1 of the word's
+    last symbol, so S_n is the tree's S_(n+1) less the level-1 sum there.
     """
     if not 1 <= n < _MAX_LEVEL:
         raise ValueError(f"n must be in 1..{_MAX_LEVEL - 1}")
     pts = level_endpoints(eq.spec, n + 1)
-    s_tau, s_phi = _birkhoff_at_points(eq, endpoint_anchors(pts), n)
+    s_tau, s_phi = (
+        sums[n] - np.tile(sums[0], 1 << n)
+        for sums in (log_expansion_sums(eq.spec, pts), tree_birkhoff_sums(pts, eq.phi))
+    )
     good = ~_outside_windows(eq, s_tau, s_phi, n, epsilon)
     if window is not None:
         lo, hi = window

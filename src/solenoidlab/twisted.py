@@ -154,11 +154,12 @@ _BAND = 64
 
 
 def _product_distribution(tables: Sequence[ZetaTable]) -> tuple[np.ndarray, np.ndarray]:
-    """Values and multiplicities of z_1 * ... * z_{k}, merging exact duplicates."""
-    values = np.asarray(tables[0].values, dtype=float)
-    values, weights = np.unique(values, return_counts=True)
-    weights = weights.astype(float)
-    for table in tables[1:]:
+    """Values and multiplicities of z_1 * ... * z_{k}, merging exact duplicates.
+
+    The fold starts from the empty product, value 1.0 with weight 1.0.
+    """
+    values, weights = np.ones(1), np.ones(1)
+    for table in tables:
         nxt, cnt = np.unique(np.asarray(table.values, dtype=float), return_counts=True)
         if values.size * nxt.size > _FOLD_LIMIT:
             raise ValueError(
@@ -175,11 +176,11 @@ def _product_distribution(tables: Sequence[ZetaTable]) -> tuple[np.ndarray, np.n
 def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
     """Normalized k-fold sum N^-k |sum exp(i eta zeta_1(b_1) ... zeta_k(b_k))|.
 
-    The sum over all N^k tuples is evaluated exactly.  For k = 1 it is the
-    direct sum over the entries.  For k >= 2 the first k - 1 tables fold into
-    the distinct values of their product with multiplicities, the last
-    table's entries merge the same way, and the pairs are summed as a
-    chunked outer product: the same terms, reordered.  Each chunk's block
+    The sum over all N^k tuples is evaluated exactly.  The first k - 1
+    tables fold into the distinct values of their product with
+    multiplicities (the single value 1.0 for k = 1), the last table's
+    entries merge the same way, and the pairs are summed as a chunked
+    outer product: the same terms, reordered.  Each chunk's block
     is filled in fixed bands of _BAND rows by solenoid._thread_map, the
     push-forward's thread pool, and then summed whole.
     """
@@ -190,10 +191,6 @@ def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
         raise ValueError("all tables must have the same size")
     N = sizes.pop()
     k = len(tables)
-
-    if k == 1:
-        total = np.exp(1j * eta * tables[0].values).sum()
-        return float(abs(total)) / N
 
     values, weights = _product_distribution(tables[:-1])
     last, cnt = np.unique(np.asarray(tables[-1].values, dtype=float), return_counts=True)

@@ -348,6 +348,14 @@ def test_lyapunov_rejects_non_periodic(spec):
         lyapunov_periodic(spec, 0.123456, 3)
 
 
+def test_lyapunov_closure_tolerance_is_the_periodic_one():
+    # on the linear map the start 1/3 + 5e-12 returns 1.5e-11 away after two
+    # steps: above the 1e-12 closure tolerance that criterion 1 claims
+    with pytest.raises(PeriodicityError):
+        lyapunov_periodic(linear_spec(), 1.0 / 3.0 + 5e-12, 2)
+    assert lyapunov_periodic(linear_spec(), 1.0 / 3.0 + 1e-13, 2) == math.log(2.0)
+
+
 # ---------------------------------------------------------------------------
 # lattice geometry
 # ---------------------------------------------------------------------------

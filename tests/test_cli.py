@@ -52,6 +52,18 @@ def test_defaults_validate():
     assert config["grid_m"] == 1 << 14
 
 
+def test_zeta_context_follows_zeta_n_only_when_not_given(tmp_path):
+    assert resolve_config()["zeta_context"] == "0101010101010"
+    for flags in ({"zeta_n": 8}, {"zeta_n": 8, "zeta_context": None}):
+        assert resolve_config(flags)["zeta_context"] == "010101010"
+    kept = resolve_config({"zeta_n": 8, "zeta_context": "0101010101010"})
+    assert kept["zeta_context"] == "0101010101010"
+    out = tmp_path / "out"
+    argv = ["nonconc", "--zeta-n", "8", "--context", "0101010101010", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"grid": 2048}))
@@ -266,6 +278,7 @@ def test_operation_error_exit_code(tmp_path):
         ("deviations", {"deviation_levels": [0, 6]}),
         ("fourier", {"seed": -1}),
         ("deviations", {"deviation_levels": [6, 17]}),
+        ("nonconc", {"zeta_n": 8, "zeta_context": "0101010101010"}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

@@ -9,9 +9,11 @@ import pytest
 
 from solenoidlab import solenoid
 from solenoidlab.circle_map import (
+    BUMP_KINDS,
     circle_dist,
     coefficient_table,
     linear_spec,
+    lyapunov_periodic,
     lyapunov_target,
 )
 from solenoidlab.solenoid import (
@@ -188,17 +190,37 @@ def test_push_forward_matches_serial_steps(spec, monkeypatch, workers):
         assert np.array_equal(g, w), coord
 
 
-def test_trajectory_rows(spec):
-    from solenoidlab.solenoid import trajectory_rows
+def test_periodic_orbit_rows(spec):
+    orbit = periodic_orbit(spec, 6)
+    assert len(orbit.points) == len(orbit.derivs) == 6
+    assert orbit.points[0].theta == 1.0 / 63.0
+    p = orbit.points[0]
+    for q in orbit.points[1:]:
+        p, _ = step(spec, p)
+        assert p == q
+    assert all(1.0 < d < 3.0 for d in orbit.derivs)
 
-    rows = trajectory_rows(spec, SolenoidPoint(0.3, 0.0, 0.0), 5)
-    assert len(rows) == 6
-    assert rows[0][0] == 0.3
-    p = SolenoidPoint(*rows[0][:3])
-    for theta, x, y, deriv in rows[1:]:
-        p, d_prev = step(spec, p)
-        assert (p.theta, p.x, p.y) == (theta, x, y)
-    assert all(1.0 < r[3] < 3.0 for r in rows)
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+@pytest.mark.parametrize("n_max", [1, 3, 5, 8])
+def test_periodic_orbit_matches_step_walk_and_lyapunov_periodic(kind, n_max):
+    spec = coefficient_table(n_max, bump_kind=kind)
+    for N in range(1, 8):
+        orbit = periodic_orbit(spec, N)
+        p = orbit.points[0]
+        walk, derivs = [], []
+        for _ in range(N):
+            walk.append(p)
+            p, d = step(spec, p)
+            derivs.append(d)
+        assert orbit.points == tuple(walk), N
+        assert orbit.derivs == tuple(derivs), N
+        exponent = lyapunov_periodic(spec, orbit.points[0].theta, N)
+        assert _bits(orbit.unstable_exponent) == _bits(exponent), N
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
 
 
 def test_push_forward_deep_resolves_fiber(spec):

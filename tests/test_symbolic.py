@@ -25,7 +25,9 @@ from solenoidlab.symbolic import (
     endpoint_anchors,
     index_word,
     level_endpoints,
+    log_expansion_sums,
     preimage_tree,
+    tree_birkhoff_sums,
     word_index,
 )
 
@@ -284,6 +286,23 @@ def test_anchor_birkhoff_matches_direct_iteration(spec):
             total += np.log(fp)
             x = fx
         assert sums[idx] == pytest.approx(total, abs=1e-11)
+
+
+@pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
+def test_one_tree_pass_matches_each_sliced_level_bit_for_bit(kind, n_max):
+    spec = coefficient_table(n_max, bump_kind=kind)
+    for n in range(1, 15):
+        pts = level_endpoints(spec, n)
+        levels = log_expansion_sums(spec, pts)
+        assert [s.shape for s in levels] == [(1 << k,) for k in range(1, n + 1)]
+        for k in range(1, n + 1):
+            alone = log_expansion_sums(spec, pts[:: 1 << (n - k)])[-1]
+            assert np.array_equal(_bits(levels[k - 1]), _bits(alone)), (n, k)
+
+
+def test_tree_birkhoff_sums_of_a_constant_count_the_steps():
+    levels = tree_birkhoff_sums(level_endpoints(linear_spec(), 5), np.ones_like)
+    assert [list(s) for s in levels] == [[float(k)] * (1 << k) for k in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------

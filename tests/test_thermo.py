@@ -52,6 +52,9 @@ def test_grid_function_validation():
         GridFunction(np.zeros(100))
     with pytest.raises(ValueError):
         GridFunction(np.zeros(3000))
+    for grid in (np.float64(1.0), np.zeros((1024, 1))):
+        with pytest.raises(ValueError):
+            GridFunction(grid)
     g = GridFunction(np.sin(2 * np.pi * nodes(2048)))
     assert g(0.25) == pytest.approx(1.0, abs=1e-5)
 
@@ -272,7 +275,7 @@ def test_lyapunov_matches_anchor_average(pert_eq):
     n = 14
     masses = cylinder_masses(pert_eq, n)
     pts = level_endpoints(pert_eq.spec, n)
-    rate = float((masses * log_expansion_sums(pert_eq.spec, pts)).sum() / n)
+    rate = float((masses * log_expansion_sums(pert_eq.spec, pts)[-1]).sum() / n)
     assert rate == pytest.approx(pert_eq.lyapunov, abs=1e-3)
 
 
@@ -372,6 +375,52 @@ def test_regular_words_window(pert_eq):
     words, _ = regular_words(pert_eq, 8, 0.5, window=(0.0, 0.25))
     assert 0 < words.size <= (1 << 9)
     assert words.size <= (1 << 7) + 2  # only cylinders meeting [0, 1/4]
+
+
+def _walk_sums(eq, pts, steps):
+    """n-step Birkhoff sums of ln f' and of phi by walking f forward from each point."""
+    s_tau = np.zeros_like(pts)
+    s_phi = np.zeros_like(pts)
+    x = pts
+    for _ in range(steps):
+        fx, fp = f_eval(eq.spec, x)
+        s_tau += np.log(fp)
+        s_phi += eq.phi(x)
+        x = fx
+    return s_tau, s_phi
+
+
+@pytest.mark.parametrize(
+    "which, n, eps, window",
+    [
+        ("lin", 8, 0.01, None),
+        ("pert", 12, 0.05, None),
+        ("pert", 10, 1e-5, None),
+        ("pert", 10, 1e-3, None),
+        ("pert", 8, 0.5, (0.0, 0.25)),
+        ("pert", 14, 3e-5, None),
+    ],
+)
+def test_regular_words_match_the_forward_walk(lin_eq, pert_eq, monkeypatch, which, n, eps, window):
+    eq = lin_eq if which == "lin" else pert_eq
+    seen = []
+    real = thermo._outside_windows
+
+    def spy(eq, s_tau, s_phi, n, epsilon):
+        seen.append((s_tau, s_phi))
+        return real(eq, s_tau, s_phi, n, epsilon)
+
+    monkeypatch.setattr(thermo, "_outside_windows", spy)
+    words, _ = regular_words(eq, n, eps, window)
+    pts = symbolic.level_endpoints(eq.spec, n + 1)
+    s_tau, s_phi = _walk_sums(eq, symbolic.endpoint_anchors(pts), n)
+    (got_tau, got_phi), = seen
+    assert np.max(np.abs(got_tau - s_tau)) < 1e-13
+    assert np.max(np.abs(got_phi - s_phi)) < 1e-13
+    good = ~real(eq, s_tau, s_phi, n, eps)
+    if window is not None:
+        good &= (pts[:-1] < window[1]) & (pts[1:] > window[0])
+    assert np.array_equal(words, np.nonzero(good)[0])
 
 
 def test_sample_uniform_ks(lin_eq):

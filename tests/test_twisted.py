@@ -250,6 +250,30 @@ def test_exp_sum_decreasing_trend_over_jn(pert_eq):
     assert slope < 0.0
 
 
+def _first_table_fold(tables):
+    """_product_distribution as it folded before the empty product: from the first table."""
+    values, weights = np.unique(tables[0].values, return_counts=True)
+    weights = weights.astype(float)
+    for table in tables[1:]:
+        nxt, cnt = np.unique(table.values, return_counts=True)
+        values, inverse = np.unique(np.multiply.outer(values, nxt).ravel(), return_inverse=True)
+        w = np.multiply.outer(weights, cnt.astype(float)).ravel()
+        weights = np.zeros_like(values)
+        np.add.at(weights, inverse, w)
+    return values, weights
+
+
+def test_product_distribution_folds_from_the_empty_product(pert_eq):
+    assert [list(a) for a in twisted._product_distribution([])] == [[1.0], [1.0]]
+    rng = np.random.default_rng(5)
+    distinct = 1.0 + 0.05 * rng.random(40)
+    random_tables = [_table(np.concatenate([distinct, rng.choice(distinct, 30)])) for _ in range(3)]
+    tab = zeta_table(pert_eq, (1, 0) * 4 + (1,), 8)
+    for tables in (random_tables[:2], random_tables, [tab, tab]):
+        for got, want in zip(twisted._product_distribution(tables), _first_table_fold(tables)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _whole_block_exp_sum(eta, tables):
     # The k >= 2 sum before banding: each _FOLD_LIMIT chunk is one block,
     # built and reduced by whole-array operations.
@@ -264,7 +288,7 @@ def _whole_block_exp_sum(eta, tables):
 
 
 @pytest.mark.parametrize("fold_limit", [twisted._FOLD_LIMIT, 150_000])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_banded_exp_sum_equals_whole_block(monkeypatch, workers, k, fold_limit):
     monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
