@@ -162,6 +162,10 @@ def _validate(config: dict) -> np.ndarray | None:
     ctx = config["zeta_context"]
     if set(ctx) - {"0", "1"} or len(ctx) != config["zeta_n"] + 1:
         raise ConfigError("zeta_context must be a 0/1 string of length zeta_n + 1")
+    # expsum sums over N^k phase tuples of the N = 2^(zeta_n + 1) table entries;
+    # 2^30 is the count that zeta_n <= 14 already allows at k = 2
+    if (config["zeta_n"] + 1) * config["expsum_k"] > 30:
+        raise ConfigError("(zeta_n + 1) * expsum_k must be at most 30, so N^k <= 2^30")
     if not config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need sigma_lo < sigma_hi")
     if 4.0 ** (-config["mu_depth"]) > 1e-9:
@@ -288,7 +292,7 @@ def _run_equilibrium(config: dict, out: Path, custom: np.ndarray | None) -> Equi
 
 
 def _run_gibbs(config: dict, out: Path, eq: EquilibriumData) -> None:
-    rows = [(n, *gibbs_ratio_stats(eq, n)) for n in config["gibbs_levels"]]
+    rows = gibbs_ratio_stats(eq, config["gibbs_levels"])
     _write_csv(out / "gibbs.csv", ["n", "ratio_min", "ratio_max"], rows)
     level = min(min(config["gibbs_levels"]), 10)
     _write_csv(

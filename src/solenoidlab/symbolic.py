@@ -186,7 +186,10 @@ def level_endpoints(spec: PerturbationSpec, n: int) -> np.ndarray:
 
     In lexicographic word order, cylinder i at level n is
     [endpoints[i], endpoints[i + 1]]; the left endpoints are f^-n(0).
+    Raises ValueError above the enumeration cap _MAX_LEVEL, before any solve.
     """
+    if n > _MAX_LEVEL:
+        raise ValueError(f"n must be at most {_MAX_LEVEL}")
     return np.append(preimage_tree(spec, 0.0, n)[0], 1.0)
 
 
@@ -222,8 +225,6 @@ def tree_birkhoff_sums(pts: np.ndarray, fn) -> list[np.ndarray]:
 
 def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
     """Birkhoff sums S_n fn at every level-n anchor, in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return tree_birkhoff_sums(level_endpoints(spec, n), fn)[-1]
 
 
@@ -239,8 +240,6 @@ def cylinder_rows(spec: PerturbationSpec, n: int):
     the chain-rule derivative of the composed inverse branch along the
     anchor's forward orbit.
     """
-    if not 1 <= n <= _MAX_LEVEL:
-        raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
     pts = level_endpoints(spec, n)
     anchors = endpoint_anchors(pts)
     derivs = np.exp(-log_expansion_sums(spec, pts)[-1])

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circle_map import PerturbationSpec, _mod1, f_eval
-from .symbolic import _MAX_LEVEL, level_endpoints, preimage_tree
+from .symbolic import level_endpoints, preimage_tree
 from .symbolic import log_expansion_sums, tree_birkhoff_sums
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "transfer_matrix",
     "solve_equilibrium",
     "measure_cdf",
-    "cylinder_masses",
+    "cylinder_levels",
     "gibbs_ratio_stats",
     "upper_regularity_exponent",
     "large_deviation_profile",
@@ -310,24 +310,30 @@ def ball_mass(eq: EquilibriumData, centers, r: float):
     return np.where(mass < 0.0, mass + 1.0, mass)
 
 
-def cylinder_masses(eq: EquilibriumData, n: int) -> np.ndarray:
-    """nu of every level-n cylinder, lexicographic order (sums to 1 exactly)."""
-    return np.diff(measure_cdf(eq, level_endpoints(eq.spec, n)))
+def cylinder_levels(eq: EquilibriumData, levels: Sequence[int]) -> list[tuple]:
+    """(n, nu(U_w), S_n ln f', S_n phi) over the level-n cylinders, for each n in levels.
+
+    Arrays run in lexicographic word order, sums at the anchors.  One tree at
+    the deepest level serves every n: its every 2^(top-n)-th endpoint is the
+    level-n endpoint bit for bit, and one pass of each sum holds every level.
+    """
+    if min(levels, default=0) < 1:
+        raise ValueError("levels must be a non-empty list of n >= 1")
+    top = max(levels)
+    tree = level_endpoints(eq.spec, top)
+    cdf = measure_cdf(eq, tree)
+    s_tau, s_phi = log_expansion_sums(eq.spec, tree), tree_birkhoff_sums(tree, eq.phi)
+    return [(n, np.diff(cdf[:: 1 << (top - n)]), s_tau[n - 1], s_phi[n - 1]) for n in levels]
 
 
-def gibbs_ratio_stats(eq: EquilibriumData, n: int) -> tuple[float, float]:
-    """Extremes over level-n cylinders of nu(U_w) / e^{S_n phi(anchor)}.
+def gibbs_ratio_stats(eq: EquilibriumData, levels: Sequence[int]) -> list[tuple]:
+    """(n, min, max) over level-n cylinders of nu(U_w) / e^{S_n phi(anchor)}, per n in levels.
 
     Bounded distortion predicts both extremes stay within a constant of 1
     independent of n; for the linear maximal-entropy case they equal 1.
     """
-    if not 1 <= n <= _MAX_LEVEL:
-        raise ValueError(f"n must be in 1..{_MAX_LEVEL}")
-    pts = level_endpoints(eq.spec, n)
-    masses = np.diff(measure_cdf(eq, pts))
-    weights = np.exp(tree_birkhoff_sums(pts, eq.phi)[-1])
-    ratios = masses / weights
-    return float(ratios.min()), float(ratios.max())
+    ratios = [(n, masses / np.exp(s_phi)) for n, masses, _, s_phi in cylinder_levels(eq, levels)]
+    return [(n, float(r.min()), float(r.max())) for n, r in ratios]
 
 
 def upper_regularity_exponent(eq: EquilibriumData, radii: Sequence[float]) -> float:
@@ -392,17 +398,10 @@ def large_deviation_profile(
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
-    if not all(1 <= n <= _MAX_LEVEL for n in n_list):
-        raise ValueError(f"block lengths must be in 1..{_MAX_LEVEL}")
-    n_tree = max(n_list, default=0)
-    tree = level_endpoints(eq.spec, n_tree)
-    cdf = measure_cdf(eq, tree)
-    s_tau, s_phi = log_expansion_sums(eq.spec, tree), tree_birkhoff_sums(tree, eq.phi)
-    entries = []
-    for n in n_list:
-        masses = np.diff(cdf[:: 1 << (n_tree - n)])
-        bad = _outside_windows(eq, s_tau[n - 1], s_phi[n - 1], n, epsilon)
-        entries.append((n, float(masses[bad].sum())))
+    entries = [
+        (n, float(masses[_outside_windows(eq, s_tau, s_phi, n, epsilon)].sum()))
+        for n, masses, s_tau, s_phi in cylinder_levels(eq, n_list)
+    ]
     pos = [(n, f) for n, f in entries if f > 0.0]
     if len(pos) >= 2:
         ns = np.array([n for n, _ in pos], dtype=float)
@@ -430,8 +429,8 @@ def regular_words(
     The anchor's n-step orbit ends on the fixed point 0 or 1 of the word's
     last symbol, so S_n is the tree's S_(n+1) less the level-1 sum there.
     """
-    if not 1 <= n < _MAX_LEVEL:
-        raise ValueError(f"n must be in 1..{_MAX_LEVEL - 1}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     pts = level_endpoints(eq.spec, n + 1)
     s_tau, s_phi = (
         sums[n] - np.tile(sums[0], 1 << n)

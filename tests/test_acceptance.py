@@ -164,7 +164,7 @@ def test_criterion_4_linear_oracle(lin_eq):
         ("Lambda = ln 2 +- 1e-10", abs(lin_eq.lyapunov - LN2) < 1e-10),
         ("dimension = 1 +- 1e-8", abs(lin_eq.dimension - 1.0) < 1e-8),
     ]
-    lo, hi = gibbs_ratio_stats(lin_eq, 10)
+    (_, lo, hi), = gibbs_ratio_stats(lin_eq, [10])
     checks.append(("Gibbs ratios = 1 +- 1e-8 at n=10", max(abs(lo - 1), abs(hi - 1)) < 1e-8))
     worst = max(abs(nu_hat(lin_eq, 2.0 * math.pi * k)) for k in (1, 2, 5, 32, 512))
     checks.append((f"nu_hat(2 pi k) = 0 +- 1e-10 (worst {worst:.2e})", worst < 1e-10))
@@ -186,7 +186,7 @@ def test_criterion_5_perturbed_thermodynamics(spec, pert_eq):
         (f"SRB dimension = 1 +- 1e-4 (got {srb.dimension - 1.0:+.2e})", abs(srb.dimension - 1.0) < 1e-4)
     )
 
-    extremes = {n: gibbs_ratio_stats(pert_eq, n) for n in (8, 10, 12)}
+    extremes = {n: (lo, hi) for n, lo, hi in gibbs_ratio_stats(pert_eq, [8, 10, 12])}
     in_range = all(0.5 <= lo <= hi <= 2.0 for lo, hi in extremes.values())
     checks.append(("Gibbs extremes within [0.5, 2]", in_range))
     los = [lo for lo, _ in extremes.values()]

@@ -50,6 +50,7 @@ def test_defaults_validate():
     config = resolve_config()
     assert config["n_max"] == 5
     assert config["grid_m"] == 1 << 14
+    cli._validate(resolve_config({"expsum_k": 3, "zeta_n": 9}))
 
 
 def test_zeta_context_follows_zeta_n_only_when_not_given(tmp_path):
@@ -279,6 +280,8 @@ def test_operation_error_exit_code(tmp_path):
         ("fourier", {"seed": -1}),
         ("deviations", {"deviation_levels": [6, 17]}),
         ("nonconc", {"zeta_n": 8, "zeta_context": "0101010101010"}),
+        ("expsum", {"expsum_k": 3}),
+        ("expsum", {"expsum_k": 3, "zeta_n": 10}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

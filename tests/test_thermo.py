@@ -12,7 +12,7 @@ from solenoidlab.circle_map import _mod1, coefficient_table, f_eval, linear_spec
 from solenoidlab.symbolic import apply_word
 from solenoidlab.thermo import (
     GridFunction,
-    cylinder_masses,
+    cylinder_levels,
     gibbs_ratio_stats,
     large_deviation_profile,
     measure_cdf,
@@ -45,6 +45,12 @@ def lin_eq():
 @pytest.fixture(scope="module")
 def pert_eq(spec):
     return solve_equilibrium(spec, mme_potential(1 << 14))
+
+
+@pytest.fixture(scope="module")
+def sin_eq(spec):
+    m = 1 << 14
+    return solve_equilibrium(spec, GridFunction(0.5 * np.sin(2 * np.pi * np.arange(m) / m)))
 
 
 def test_grid_function_validation():
@@ -260,8 +266,7 @@ def test_dimension_matches_cylinder_scaling(spec):
     mean_log_mass = []
     mean_log_diam = []
     # cylinders must stay several grid cells wide or the masses smooth out
-    for n in range(6, 13):
-        masses = cylinder_masses(eq, n)
+    for n, masses, _, _ in cylinder_levels(eq, range(6, 13)):
         lengths = np.diff(level_endpoints(spec, n))
         mean_log_mass.append(float((masses * np.log(masses)).sum()))
         mean_log_diam.append(float((masses * np.log(lengths)).sum()))
@@ -270,23 +275,19 @@ def test_dimension_matches_cylinder_scaling(spec):
 
 
 def test_lyapunov_matches_anchor_average(pert_eq):
-    from solenoidlab.symbolic import level_endpoints, log_expansion_sums
-
-    n = 14
-    masses = cylinder_masses(pert_eq, n)
-    pts = level_endpoints(pert_eq.spec, n)
-    rate = float((masses * log_expansion_sums(pert_eq.spec, pts)[-1]).sum() / n)
+    (n, masses, s_tau, _), = cylinder_levels(pert_eq, [14])
+    rate = float((masses * s_tau).sum() / n)
     assert rate == pytest.approx(pert_eq.lyapunov, abs=1e-3)
 
 
 def test_gibbs_linear(lin_eq):
-    lo, hi = gibbs_ratio_stats(lin_eq, 10)
+    (_, lo, hi), = gibbs_ratio_stats(lin_eq, [10])
     assert lo == pytest.approx(1.0, abs=1e-8)
     assert hi == pytest.approx(1.0, abs=1e-8)
 
 
 def test_gibbs_perturbed_bounded_and_stable(pert_eq):
-    extremes = {n: gibbs_ratio_stats(pert_eq, n) for n in (5, 10)}
+    extremes = {n: (lo, hi) for n, lo, hi in gibbs_ratio_stats(pert_eq, [5, 10])}
     for lo, hi in extremes.values():
         assert 0.5 < lo <= hi < 2.0
     (lo5, hi5), (lo10, hi10) = extremes[5], extremes[10]
@@ -295,11 +296,61 @@ def test_gibbs_perturbed_bounded_and_stable(pert_eq):
 
 
 def test_cylinder_masses_sum_to_one(pert_eq):
-    for n in (6, 12, 16):
-        masses = cylinder_masses(pert_eq, n)
+    for n, masses, _, _ in cylinder_levels(pert_eq, [6, 12, 16]):
         assert masses.shape == (1 << n,)
         assert abs(masses.sum() - 1.0) < 1e-9
         assert masses.min() >= 0.0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("which", ["mme", "sin"])
+def test_cylinder_levels_match_each_level_bit_for_bit(pert_eq, sin_eq, which):
+    eq = pert_eq if which == "mme" else sin_eq
+    levels = [12, 8, 12, 3]
+    got = cylinder_levels(eq, levels)
+    assert [row[0] for row in got] == levels
+    for n, *arrays in got:
+        pts = symbolic.level_endpoints(eq.spec, n)
+        want = (
+            np.diff(measure_cdf(eq, pts)),
+            symbolic.log_expansion_sums(eq.spec, pts)[-1],
+            symbolic.tree_birkhoff_sums(pts, eq.phi)[-1],
+        )
+        for a, b in zip(arrays, want):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), n
+
+
+def test_level_cap_raises_before_any_tree(spec, pert_eq, monkeypatch):
+    cap = symbolic._MAX_LEVEL
+    built = []
+    real = symbolic.preimage_tree
+
+    def spy(spec, x, n):
+        built.append(n)
+        if n > cap:
+            raise AssertionError(f"a level-{n} tree was started")
+        return real(spec, x, n)
+
+    monkeypatch.setattr(symbolic, "preimage_tree", spy)
+    calls = [
+        lambda: symbolic.level_endpoints(spec, cap + 1),
+        lambda: cylinder_levels(pert_eq, []),
+        lambda: cylinder_levels(pert_eq, [0]),
+        lambda: cylinder_levels(pert_eq, [12, 0]),
+        lambda: cylinder_levels(pert_eq, [cap + 1]),
+        lambda: gibbs_ratio_stats(pert_eq, [cap + 1]),
+        lambda: regular_words(pert_eq, cap, 0.1),
+        lambda: symbolic.cylinder_rows(spec, 0),
+        lambda: symbolic.cylinder_rows(spec, cap + 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    # only cylinder_rows(spec, 0) reaches the tree, at level 0
+    assert built == [0]
 
 
 def test_upper_regularity_linear(lin_eq):
@@ -338,12 +389,9 @@ def test_deviation_profile_perturbed_mme_scale(pert_eq):
     assert any(f > 0.0 for f in fractions)
 
 
-def test_deviation_profile_generic_potential_decays(spec):
+def test_deviation_profile_generic_potential_decays(sin_eq):
     # an O(1) Hoelder potential gives fluctuations measurable at n <= 14
-    m = 1 << 14
-    psi = GridFunction(0.5 * np.sin(2 * np.pi * np.arange(m) / m))
-    eq = solve_equilibrium(spec, psi)
-    prof = large_deviation_profile(eq, 0.25, range(6, 15))
+    prof = large_deviation_profile(sin_eq, 0.25, range(6, 15))
     fractions = [f for _, f in prof.entries]
     assert any(f > 0.0 for f in fractions)
     assert all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
