@@ -34,7 +34,14 @@ from .thermo import (
     solve_equilibrium,
     srb_potential,
 )
-from .twisted import concentration_report, exp_sum, twisted_norm_profile, zeta_table
+from .twisted import (
+    concentration_report,
+    exp_sum,
+    expansion_cost,
+    table_scale,
+    twisted_norm_profile,
+    zeta_table,
+)
 
 DEFAULTS = {
     "n_max": 5,
@@ -327,6 +334,16 @@ def _zeta(config: dict, eq: EquilibriumData):
     return zeta_table(eq, context, config["zeta_n"])
 
 
+def _scale_fields(table) -> dict:
+    scale = table_scale(table)
+    return {
+        "spread": _fmt(scale.spread),
+        "distinct": scale.distinct,
+        "largest_atom": _fmt(scale.largest_atom),
+        "tie_floor": _fmt(scale.tie_floor),
+    }
+
+
 def _run_nonconc(config: dict, out: Path, eq: EquilibriumData) -> None:
     table = _zeta(config, eq)
     sigmas = np.geomspace(config["sigma_lo"], config["sigma_hi"], config["sigma_count"])
@@ -338,7 +355,12 @@ def _run_nonconc(config: dict, out: Path, eq: EquilibriumData) -> None:
     _write_csv(out / "nonconc.csv", ["sigma", "count", "count_over_N2"], rows)
     _write_json(
         out / "nonconc.json",
-        {"N": report.N, "gamma_emp": _fmt(report.gamma_emp), "zeta_n": config["zeta_n"]},
+        {
+            "N": report.N,
+            "gamma_emp": _fmt(report.gamma_emp),
+            "zeta_n": config["zeta_n"],
+            **_scale_fields(table),
+        },
     )
 
 
@@ -355,9 +377,17 @@ def _run_expsum(config: dict, out: Path, eq: EquilibriumData) -> None:
     slope = float(
         np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
     )
+    terms, bound = expansion_cost([r[0] for r in rows], tables)
     _write_json(
         out / "expsum.json",
-        {"eps0": _fmt(eps0), "k": config["expsum_k"], "fitted_slope": _fmt(slope)},
+        {
+            "eps0": _fmt(eps0),
+            "k": config["expsum_k"],
+            "fitted_slope": _fmt(slope),
+            "terms": terms,
+            "max_cross_bound": _fmt(bound),
+            **_scale_fields(table),
+        },
     )
 
 

@@ -81,8 +81,7 @@ def step_many(spec, thetas, xs, ys):
 def _worker_count() -> int:
     """Threads _thread_map may use: the CPUs this process may run on.
 
-    push_forward's chunks and twisted.exp_sum's row bands share this count,
-    so patching it governs both.
+    push_forward's chunks run on this many threads, so patching it governs them.
     """
     try:
         return len(os.sched_getaffinity(0))

@@ -11,12 +11,12 @@ non-concentration and sum-product decay of those tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .solenoid import _thread_map
 from .symbolic import _check_word, _compose, preimage_tree
 from .thermo import EquilibriumData, transfer_matrix
 
@@ -27,7 +27,10 @@ __all__ = [
     "zeta_table",
     "nonconcentration_count",
     "concentration_report",
+    "TableScale",
+    "table_scale",
     "exp_sum",
+    "expansion_cost",
 ]
 
 
@@ -142,15 +145,36 @@ def concentration_report(table: ZetaTable, sigma_list: Sequence[float]) -> Conce
     return ConcentrationReport(tuple(sigmas), tuple(counts), table.size, float(gamma))
 
 
+@dataclass(frozen=True)
+class TableScale:
+    """Where a table's entries sit: their range and their exact ties.
+
+    tie_floor = sum p_i^2 over the shares p_i of the distinct values is
+    the least count/N^2 any sigma can give.
+    """
+
+    spread: float
+    distinct: int
+    largest_atom: float
+    tie_floor: float
+
+
+def table_scale(table: ZetaTable) -> TableScale:
+    """Spread, distinct count, largest tie share and tie floor of a table."""
+    values, counts = np.unique(table.values, return_counts=True)
+    shares = counts / table.size
+    return TableScale(
+        float(values[-1] - values[0]), values.size, float(shares.max()), float(shares @ shares)
+    )
+
+
 # ---------------------------------------------------------------------------
 # k-fold exponential sums
 # ---------------------------------------------------------------------------
 
 _FOLD_LIMIT = 50_000_000
-# Rows per exp_sum band.  Each band's temporaries stay small while its rows
-# are written into the chunk's block; the block is summed whole, so the
-# result does not depend on the band size or the thread count.
-_BAND = 64
+# Truncation bound of the cross-term expansion, relative to N^k.
+_TAIL = 2.0**-60
 
 
 def _product_distribution(tables: Sequence[ZetaTable]) -> tuple[np.ndarray, np.ndarray]:
@@ -173,16 +197,47 @@ def _product_distribution(tables: Sequence[ZetaTable]) -> tuple[np.ndarray, np.n
     return values, weights
 
 
+def _term_count(bound: float) -> int:
+    """Fewest terms P whose tail bound e^B B^P / P! is at most 2^-60."""
+    terms, tail = 1, math.exp(bound) * bound
+    while tail > _TAIL:
+        terms += 1
+        tail *= bound / terms
+    return terms
+
+
+def _bands(eta: float, values: np.ndarray, half_width: float):
+    """Yield (slice, B, terms) for each band of the sorted values.
+
+    Bands are 2 / (|eta| s) wide from the smallest value, s = max|dw|, so
+    each band's B = |eta| max|dv| s is at most 1.  Only bands that hold a
+    value are made; where there would be at least as many bands as values,
+    each value is its own band, with dv = 0 and B = 0.
+    """
+    ids = np.floor((values - values[0]) * (abs(eta) * half_width / 2.0))
+    if ids[-1] >= values.size - 1:
+        ids = np.arange(values.size)
+    edges = np.flatnonzero(np.diff(ids)) + 1
+    for start, stop in zip(np.r_[0, edges], np.r_[edges, values.size]):
+        bound = abs(eta) * (values[stop - 1] - values[start]) / 2.0 * half_width
+        yield slice(start, stop), bound, _term_count(bound)
+
+
 def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
     """Normalized k-fold sum N^-k |sum exp(i eta zeta_1(b_1) ... zeta_k(b_k))|.
 
-    The sum over all N^k tuples is evaluated exactly.  The first k - 1
-    tables fold into the distinct values of their product with
-    multiplicities (the single value 1.0 for k = 1), the last table's
-    entries merge the same way, and the pairs are summed as a chunked
-    outer product: the same terms, reordered.  Each chunk's block
-    is filled in fixed bands of _BAND rows by solenoid._thread_map, the
-    push-forward's thread pool, and then summed whole.
+    The first k - 1 tables fold into the distinct values v of their product
+    with weights W_v (the single value 1.0 for k = 1), and the last table
+    merges into distinct values w with counts C_w.  Centring v = v_c + dv
+    and w = w_c + dw expands only the cross term:
+
+      sum W_v C_w e^{i eta v w} = e^{i eta v_c w_c} sum_p (i eta)^p / p!
+          [sum_v W_v dv^p e^{i eta w_c dv}] [sum_w C_w dw^p e^{i eta v_c dw}],
+
+    O(#v + #w) per term.  Each band of v values (see _bands) has its own
+    v_c and B = |eta| max|dv| max|dw| <= 1, and sums terms until the tail
+    bound e^B B^P / P! is at most 2^-60, so the truncation error is at most
+    2^-60 of N^k.
     """
     if not tables:
         raise ValueError("need at least one table")
@@ -194,18 +249,28 @@ def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
 
     values, weights = _product_distribution(tables[:-1])
     last, cnt = np.unique(np.asarray(tables[-1].values, dtype=float), return_counts=True)
+    w_c, s = (last[0] + last[-1]) / 2.0, (last[-1] - last[0]) / 2.0
+    dw = last - w_c
+    y = dw / (s or 1.0)  # |y| <= 1; with x = eta s dv, x y = eta dv dw
     total = 0.0 + 0.0j
-    chunk = max(1, _FOLD_LIMIT // (10 * max(last.size, 1)))
-    for start in range(0, values.size, chunk):
-        v, w = values[start : start + chunk], weights[start : start + chunk]
-        block = np.empty((v.size, last.size), dtype=complex)
-
-        def fill(row: int) -> None:
-            r = slice(row, row + _BAND)
-            np.multiply(
-                w[r, None], np.exp(1j * eta * np.multiply.outer(v[r], last)) * cnt, out=block[r]
-            )
-
-        _thread_map(fill, range(0, v.size, _BAND))
-        total += block.sum()
+    for band, _, terms in _bands(eta, values, s):
+        v_c = (values[band][0] + values[band][-1]) / 2.0
+        dv = values[band] - v_c
+        x = eta * s * dv
+        a = weights[band] * np.exp(1j * eta * w_c * dv)
+        c = cnt * np.exp(1j * eta * v_c * dw)
+        band_sum, coef = 0.0 + 0.0j, 1.0 + 0.0j  # coef = i^p / p!
+        for p in range(terms):
+            band_sum += coef * a.sum() * c.sum()
+            a, c, coef = a * x, c * y, coef * 1j / (p + 1)
+        # e^{i eta v_c w_c} relative to the smallest value's, so the phase stays small
+        total += band_sum * np.exp(1j * eta * w_c * (v_c - values[0]))
     return float(abs(total)) / float(N) ** k
+
+
+def expansion_cost(etas: Sequence[float], tables: Sequence[ZetaTable]) -> tuple[int, float]:
+    """Terms exp_sum sums over all bands, totalled over etas, and the largest band B."""
+    values, _ = _product_distribution(tables[:-1])
+    s = float(np.ptp(np.asarray(tables[-1].values, dtype=float))) / 2.0
+    plan = [(bound, terms) for eta in etas for _, bound, terms in _bands(eta, values, s)]
+    return sum(t for _, t in plan), max(b for b, _ in plan)

@@ -138,7 +138,7 @@ def test_fourier_summary_independent_of_threads(tmp_path, monkeypatch):
 
 
 def test_expsum_csv_independent_of_threads(tmp_path, monkeypatch):
-    config = _fast_config()  # 128 phases: two full exp_sum bands
+    config = _fast_config()  # 128 phases
     bodies = []
     for workers in (1, 2):
         monkeypatch.setattr(solenoid, "_worker_count", lambda w=workers: w)
@@ -153,12 +153,21 @@ def test_nonconc_and_expsum_artifacts(tmp_path):
     run("expsum", config, tmp_path)
     rows = (tmp_path / "nonconc.csv").read_text().splitlines()
     assert rows[0] == "sigma,count,count_over_N2"
+    fracs = [float(line.split(",")[2]) for line in rows[1:]]
     doc = json.loads((tmp_path / "nonconc.json").read_text())
     assert doc["N"] == 1 << 7
+    # exact ties pair at every sigma, so no count falls below the tie floor
+    assert min(fracs) >= float(doc["tie_floor"]) >= float(doc["largest_atom"]) ** 2
+    assert 1 <= doc["distinct"] <= doc["N"] and float(doc["spread"]) > 0.0
     rows = (tmp_path / "expsum.csv").read_text().splitlines()
     assert rows[0] == "eta,exp_sum_modulus"
     mods = [float(line.split(",")[1]) for line in rows[1:]]
     assert all(0.0 <= v <= 1.0 for v in mods)
+    scale = ("spread", "distinct", "largest_atom", "tie_floor")
+    expsum = json.loads((tmp_path / "expsum.json").read_text())
+    assert {key: expsum[key] for key in scale} == {key: doc[key] for key in scale}
+    # every eta sums at least one term per band, and each band has B <= 1
+    assert expsum["terms"] >= len(mods) and 0.0 < float(expsum["max_cross_bound"]) <= 1.0
 
 
 def test_all_runs_in_order(tmp_path):

@@ -1,7 +1,9 @@
 """Twisted-operator profiles, phase tables, pair counts, exponential sums."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from solenoidlab.twisted import (
     concentration_report,
     exp_sum,
     nonconcentration_count,
+    table_scale,
     twisted_norm_profile,
     zeta_table,
 )
@@ -274,9 +277,8 @@ def test_product_distribution_folds_from_the_empty_product(pert_eq):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _whole_block_exp_sum(eta, tables):
-    # The k >= 2 sum before banding: each _FOLD_LIMIT chunk is one block,
-    # built and reduced by whole-array operations.
+def _exact_exp_sum(eta, tables):
+    """The exact sum over every merged (v, w) pair, one phase block per chunk: the reference."""
     values, weights = twisted._product_distribution(tables[:-1])
     last, cnt = np.unique(tables[-1].values, return_counts=True)
     total = 0.0 + 0.0j
@@ -287,18 +289,90 @@ def _whole_block_exp_sum(eta, tables):
     return float(abs(total)) / float(tables[0].size) ** len(tables)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_expansion_matches_exact_reference(k):
+    rng = np.random.default_rng(71 + k)
+    compared = []
+    for spread in (1e-3, 0.05, 2.0):
+        tables = []
+        for _ in range(k):
+            distinct = 1.0 + spread * rng.random(40)
+            tables.append(_table(np.concatenate([distinct, rng.choice(distinct, 20)])))
+        v, _ = twisted._product_distribution(tables[:-1])
+        half_w = np.ptp(tables[-1].values) / 2
+        half_v = max(np.ptp(v) / 2, half_w)  # k = 1 has the one value 1.0
+        for bound in (1e-6, 1e-3, 0.5, 3.0, 40.0, 1e3):  # B of the unbanded sum
+            eta = bound / (half_v * half_w)
+            # past phases eta v w of 1e4 rad, rounding the phase costs either
+            # path ~1e-13; the mpmath test covers that range
+            if eta * v.max() * tables[-1].values.max() > 1e4:
+                continue
+            got, want = exp_sum(eta, tables), _exact_exp_sum(eta, tables)
+            assert abs(got - want) <= 1e-13, (spread, bound, got, want)
+            compared.append((bound, eta, tables))
+    # spread 2 reaches B = 1e3, which splits the values into many bands
+    bound, eta, tables = compared[-1]
+    assert min(c[0] for c in compared) == 1e-6 and bound == 1e3
+    terms, band_bound = twisted.expansion_cost([eta], tables)
+    assert band_bound <= 1.0 + 1e-12
+    assert terms >= 40 or k == 1
+
+
 @pytest.mark.parametrize("fold_limit", [twisted._FOLD_LIMIT, 150_000])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_banded_exp_sum_equals_whole_block(monkeypatch, workers, k, fold_limit):
-    monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
-    monkeypatch.setattr(twisted, "_FOLD_LIMIT", fold_limit)
     rng = np.random.default_rng(71)
     tables = []
     for _ in range(k):
-        distinct = 1.0 + 0.05 * rng.random(150)  # 150 = 2 * _BAND + 22 rows at k = 2
+        distinct = 1.0 + 0.05 * rng.random(150)
         tables.append(_table(np.concatenate([distinct, rng.choice(distinct, 50)])))
-    assert 150 % twisted._BAND != 0
-    # 150_000 // (10 * 150) = 100 rows per chunk: two chunks at k = 2, ~225 at k = 3
-    for eta in (3.0, 47.0, 910.0):
-        assert exp_sum(eta, tables) == _whole_block_exp_sum(eta, tables)
+    etas = (3.0, 47.0, 910.0, 5000.0)  # 5000 splits the values into several bands at k >= 2
+    default = [exp_sum(eta, tables) for eta in etas]
+    monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
+    monkeypatch.setattr(twisted, "_FOLD_LIMIT", fold_limit)
+    # 150_000 // (10 * 150) = 100 rows per reference chunk: two chunks at k = 2, ~225 at k = 3
+    for eta, before in zip(etas, default):
+        got = exp_sum(eta, tables)
+        assert got == before  # neither the thread count nor the fold limit reaches the sum
+        assert abs(got - _exact_exp_sum(eta, tables)) <= 1e-13, eta
+    if k > 1:
+        values, _ = twisted._product_distribution(tables[:-1])
+        assert len(list(twisted._bands(etas[-1], values, np.ptp(tables[-1].values) / 2))) > 1
+
+
+def test_expansion_matches_mpmath_on_default_table(pert_eq):
+    tab = zeta_table(pert_eq, (0, 1) * 6 + (0,), 12)  # the CLI's default table
+    sub = _table(np.random.default_rng(8).choice(tab.values, 128, replace=False))
+    vals, cnt = np.unique(sub.values, return_counts=True)
+    with mpmath.workdps(40):
+        for eta in (5e2, 1e4, 3e5, 3e6, 3e7):  # 3e7 spans several bands
+            ref = mpmath.fsum(
+                int(ca * cb) * mpmath.expj(mpmath.mpf(eta) * mpmath.mpf(a) * mpmath.mpf(b))
+                for a, ca in zip(vals.tolist(), cnt) for b, cb in zip(vals.tolist(), cnt)
+            )
+            want = float(abs(ref) / 128**2)
+            assert abs(exp_sum(eta, [sub, sub]) - want) <= 1e-14, eta
+
+
+def test_exp_sum_memory_and_extreme_eta(pert_eq):
+    tab = zeta_table(pert_eq, (0, 1) * 6 + (0,), 12)
+    eta = math.exp(2.0 * 0.26 * 12)  # the CLI's largest default eta
+    tracemalloc.start()
+    try:
+        exp_sum(eta, [tab, tab])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # the N x M phase block would be ~60 MB
+    # past every distinct value's spacing each value is its own band, with B = 0
+    assert 0.0 <= exp_sum(1e30, [tab, tab]) <= 1.0
+    distinct = np.unique(tab.values).size
+    assert twisted.expansion_cost([1e30], [tab, tab]) == (distinct, 0.0)
+
+
+def test_table_scale_linear_and_ties(lin_eq):
+    scale = table_scale(zeta_table(lin_eq, (0, 1, 1, 0, 1), 4))
+    assert (scale.spread, scale.distinct, scale.largest_atom, scale.tie_floor) == (0.0, 1, 1.0, 1.0)
+    scale = table_scale(_table([2.0, 1.0, 2.0, 3.0]))
+    assert (scale.spread, scale.distinct, scale.largest_atom, scale.tie_floor) == (2.0, 3, 0.5, 0.375)
