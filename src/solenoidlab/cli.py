@@ -35,9 +35,9 @@ from .thermo import (
     srb_potential,
 )
 from .twisted import (
+    _FOLD_LIMIT,
     concentration_report,
     exp_sum,
-    expansion_cost,
     table_scale,
     twisted_norm_profile,
     zeta_table,
@@ -116,6 +116,8 @@ def resolve_config(overrides: dict | None = None, config_path: str | None = None
             given = json.load(fh)
         if isinstance(given, dict) and "config" in given and "experiment" in given:
             given = given["config"]  # accept an emitted manifest directly
+        if not isinstance(given, dict):
+            raise ConfigError(f"{config_path} must hold a JSON object of config keys")
         config.update(given)
     flags = {key: value for key, value in (overrides or {}).items() if value is not None}
     config.update(flags)
@@ -169,10 +171,13 @@ def _validate(config: dict) -> np.ndarray | None:
     ctx = config["zeta_context"]
     if set(ctx) - {"0", "1"} or len(ctx) != config["zeta_n"] + 1:
         raise ConfigError("zeta_context must be a 0/1 string of length zeta_n + 1")
-    # expsum sums over N^k phase tuples of the N = 2^(zeta_n + 1) table entries;
-    # 2^30 is the count that zeta_n <= 14 already allows at k = 2
-    if (config["zeta_n"] + 1) * config["expsum_k"] > 30:
-        raise ConfigError("(zeta_n + 1) * expsum_k must be at most 30, so N^k <= 2^30")
+    # expsum folds k - 1 tables of N = 2^(zeta_n + 1) entries: N^(k-1) products at most
+    bits = int(math.log2(_FOLD_LIMIT))
+    if (config["zeta_n"] + 1) * (config["expsum_k"] - 1) > bits:
+        raise ConfigError(
+            f"N^(expsum_k - 1) = 2^((zeta_n + 1) * (expsum_k - 1)) must be at most the fold limit "
+            f"{_FOLD_LIMIT:,}: zeta_n <= {bits // 2 - 1} at expsum_k = 3, <= {bits // 3 - 1} at 4"
+        )
     if not config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need sigma_lo < sigma_hi")
     if 4.0 ** (-config["mu_depth"]) > 1e-9:
@@ -348,10 +353,7 @@ def _run_nonconc(config: dict, out: Path, eq: EquilibriumData) -> None:
     table = _zeta(config, eq)
     sigmas = np.geomspace(config["sigma_lo"], config["sigma_hi"], config["sigma_count"])
     report = concentration_report(table, sigmas)
-    rows = [
-        (float(s), c, c / report.N**2)
-        for s, c in zip(report.sigma_list, report.counts)
-    ]
+    rows = [(float(s), c, c / report.N**2) for s, c in zip(report.sigma_list, report.counts)]
     _write_csv(out / "nonconc.csv", ["sigma", "count", "count_over_N2"], rows)
     _write_json(
         out / "nonconc.json",
@@ -366,26 +368,19 @@ def _run_nonconc(config: dict, out: Path, eq: EquilibriumData) -> None:
 
 def _run_expsum(config: dict, out: Path, eq: EquilibriumData) -> None:
     table = _zeta(config, eq)
-    n = config["zeta_n"]
-    eps0 = config["eps0"]
-    etas = np.geomspace(
-        np.exp(eps0 * n / 2.0), np.exp(2.0 * eps0 * n), config["eta_count"]
-    )
-    tables = [table] * config["expsum_k"]
-    rows = [(float(eta), exp_sum(float(eta), tables)) for eta in etas]
-    _write_csv(out / "expsum.csv", ["eta", "exp_sum_modulus"], rows)
-    slope = float(
-        np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
-    )
-    terms, bound = expansion_cost([r[0] for r in rows], tables)
+    n, eps0 = config["zeta_n"], config["eps0"]
+    etas = np.geomspace(np.exp(eps0 * n / 2.0), np.exp(2.0 * eps0 * n), config["eta_count"])
+    report = exp_sum(etas, [table] * config["expsum_k"])
+    _write_csv(out / "expsum.csv", ["eta", "exp_sum_modulus"], zip(etas.tolist(), report.moduli))
+    slope = float(np.polyfit(np.log(etas), np.log(report.moduli), 1)[0])
     _write_json(
         out / "expsum.json",
         {
             "eps0": _fmt(eps0),
             "k": config["expsum_k"],
             "fitted_slope": _fmt(slope),
-            "terms": terms,
-            "max_cross_bound": _fmt(bound),
+            "terms": report.terms,
+            "max_cross_bound": _fmt(report.max_cross_bound),
             **_scale_fields(table),
         },
     )

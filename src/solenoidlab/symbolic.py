@@ -224,7 +224,7 @@ def tree_birkhoff_sums(pts: np.ndarray, fn) -> list[np.ndarray]:
 
 
 def anchor_birkhoff_sums(spec: PerturbationSpec, n: int, fn) -> np.ndarray:
-    """Birkhoff sums S_n fn at every level-n anchor, in lexicographic order."""
+    """S_n fn at the level-n anchors; kept only because the benchmark's tracer wraps it by name."""
     return tree_birkhoff_sums(level_endpoints(spec, n), fn)[-1]
 
 

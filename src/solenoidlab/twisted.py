@@ -29,8 +29,8 @@ __all__ = [
     "concentration_report",
     "TableScale",
     "table_scale",
+    "ExpSumReport",
     "exp_sum",
-    "expansion_cost",
 ]
 
 
@@ -223,13 +223,22 @@ def _bands(eta: float, values: np.ndarray, half_width: float):
         yield slice(start, stop), bound, _term_count(bound)
 
 
-def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
-    """Normalized k-fold sum N^-k |sum exp(i eta zeta_1(b_1) ... zeta_k(b_k))|.
+@dataclass(frozen=True)
+class ExpSumReport:
+    """One modulus per eta, the terms summed over every eta and band, and the largest band's B."""
 
-    The first k - 1 tables fold into the distinct values v of their product
-    with weights W_v (the single value 1.0 for k = 1), and the last table
-    merges into distinct values w with counts C_w.  Centring v = v_c + dv
-    and w = w_c + dw expands only the cross term:
+    moduli: tuple[float, ...]
+    terms: int
+    max_cross_bound: float
+
+
+def exp_sum(etas: Sequence[float], tables: Sequence[ZetaTable]) -> ExpSumReport:
+    """Normalized k-fold sums N^-k |sum exp(i eta zeta_1(b_1) ... zeta_k(b_k))| at each eta.
+
+    The first k - 1 tables fold once into the distinct values v of their
+    product with weights W_v (the single value 1.0 for k = 1), and the last
+    table merges once into distinct values w with counts C_w, for every
+    eta.  Centring v = v_c + dv and w = w_c + dw expands only the cross term:
 
       sum W_v C_w e^{i eta v w} = e^{i eta v_c w_c} sum_p (i eta)^p / p!
           [sum_v W_v dv^p e^{i eta w_c dv}] [sum_w C_w dw^p e^{i eta v_c dw}],
@@ -241,36 +250,30 @@ def exp_sum(eta: float, tables: Sequence[ZetaTable]) -> float:
     """
     if not tables:
         raise ValueError("need at least one table")
-    sizes = {t.size for t in tables}
-    if len(sizes) != 1:
+    N, k = tables[0].size, len(tables)
+    if any(t.size != N for t in tables):
         raise ValueError("all tables must have the same size")
-    N = sizes.pop()
-    k = len(tables)
 
     values, weights = _product_distribution(tables[:-1])
     last, cnt = np.unique(np.asarray(tables[-1].values, dtype=float), return_counts=True)
     w_c, s = (last[0] + last[-1]) / 2.0, (last[-1] - last[0]) / 2.0
     dw = last - w_c
     y = dw / (s or 1.0)  # |y| <= 1; with x = eta s dv, x y = eta dv dw
-    total = 0.0 + 0.0j
-    for band, _, terms in _bands(eta, values, s):
-        v_c = (values[band][0] + values[band][-1]) / 2.0
-        dv = values[band] - v_c
-        x = eta * s * dv
-        a = weights[band] * np.exp(1j * eta * w_c * dv)
-        c = cnt * np.exp(1j * eta * v_c * dw)
-        band_sum, coef = 0.0 + 0.0j, 1.0 + 0.0j  # coef = i^p / p!
-        for p in range(terms):
-            band_sum += coef * a.sum() * c.sum()
-            a, c, coef = a * x, c * y, coef * 1j / (p + 1)
-        # e^{i eta v_c w_c} relative to the smallest value's, so the phase stays small
-        total += band_sum * np.exp(1j * eta * w_c * (v_c - values[0]))
-    return float(abs(total)) / float(N) ** k
-
-
-def expansion_cost(etas: Sequence[float], tables: Sequence[ZetaTable]) -> tuple[int, float]:
-    """Terms exp_sum sums over all bands, totalled over etas, and the largest band B."""
-    values, _ = _product_distribution(tables[:-1])
-    s = float(np.ptp(np.asarray(tables[-1].values, dtype=float))) / 2.0
-    plan = [(bound, terms) for eta in etas for _, bound, terms in _bands(eta, values, s)]
-    return sum(t for _, t in plan), max(b for b, _ in plan)
+    moduli, total_terms, max_bound = [], 0, 0.0
+    for eta in map(float, etas):
+        total = 0.0 + 0.0j
+        for band, bound, terms in _bands(eta, values, s):
+            total_terms, max_bound = total_terms + terms, max(max_bound, float(bound))
+            v_c = (values[band][0] + values[band][-1]) / 2.0
+            dv = values[band] - v_c
+            x = eta * s * dv
+            a = weights[band] * np.exp(1j * eta * w_c * dv)
+            c = cnt * np.exp(1j * eta * v_c * dw)
+            band_sum, coef = 0.0 + 0.0j, 1.0 + 0.0j  # coef = i^p / p!
+            for p in range(terms):
+                band_sum += coef * a.sum() * c.sum()
+                a, c, coef = a * x, c * y, coef * 1j / (p + 1)
+            # e^{i eta v_c w_c} relative to the smallest value's, so the phase stays small
+            total += band_sum * np.exp(1j * eta * w_c * (v_c - values[0]))
+        moduli.append(float(abs(total)) / float(N) ** k)
+    return ExpSumReport(tuple(moduli), total_terms, max_bound)

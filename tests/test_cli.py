@@ -8,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import solenoidlab
-from solenoidlab import cli, fourier, solenoid
+from solenoidlab import cli, fourier, solenoid, twisted
 from solenoidlab.cli import (
     EXPERIMENT_TABLE,
     SHARED_FLAGS,
@@ -50,7 +51,7 @@ def test_defaults_validate():
     config = resolve_config()
     assert config["n_max"] == 5
     assert config["grid_m"] == 1 << 14
-    cli._validate(resolve_config({"expsum_k": 3, "zeta_n": 9}))
+    cli._validate(resolve_config({"expsum_k": 3, "zeta_n": 11}))
 
 
 def test_zeta_context_follows_zeta_n_only_when_not_given(tmp_path):
@@ -137,16 +138,6 @@ def test_fourier_summary_independent_of_threads(tmp_path, monkeypatch):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
-def test_expsum_csv_independent_of_threads(tmp_path, monkeypatch):
-    config = _fast_config()  # 128 phases
-    bodies = []
-    for workers in (1, 2):
-        monkeypatch.setattr(solenoid, "_worker_count", lambda w=workers: w)
-        run("expsum", config, tmp_path / str(workers))
-        bodies.append((tmp_path / str(workers) / "expsum.csv").read_bytes())
-    assert bodies[0] == bodies[1]
-
-
 def test_nonconc_and_expsum_artifacts(tmp_path):
     config = _fast_config()
     run("nonconc", config, tmp_path)
@@ -168,6 +159,46 @@ def test_nonconc_and_expsum_artifacts(tmp_path):
     assert {key: expsum[key] for key in scale} == {key: doc[key] for key in scale}
     # every eta sums at least one term per band, and each band has B <= 1
     assert expsum["terms"] >= len(mods) and 0.0 < float(expsum["max_cross_bound"]) <= 1.0
+
+
+def test_expsum_folds_once_per_run(tmp_path, monkeypatch):
+    folds = []
+    real = twisted._product_distribution
+
+    def counting(tables):
+        folds.append(len(tables))
+        return real(tables)
+
+    monkeypatch.setattr(twisted, "_product_distribution", counting)
+    run("expsum", _fast_config(expsum_k=3), tmp_path)
+    assert folds == [2]  # one fold of k - 1 tables serves all 12 etas
+
+
+def test_expsum_splits_bands_through_the_cli(tmp_path, monkeypatch):
+    # at eps0 = 1.5, J_n reaches eta = 6.6e7 on the 128-entry table, far past
+    # one band; float64 all-pairs sums at phases of 1e7 rad are no reference
+    calls = []
+    real = cli.exp_sum
+
+    def recording(etas, tables):
+        calls.append((etas, tables))
+        return real(etas, tables)
+
+    monkeypatch.setattr(cli, "exp_sum", recording)
+    run("expsum", _fast_config(eps0=1.5), tmp_path)
+    ((etas, tables),) = calls
+    vals, cnt = np.unique(tables[-1].values, return_counts=True)
+    rows = [line.split(",") for line in (tmp_path / "expsum.csv").read_text().splitlines()[1:]]
+    assert [float(eta) for eta, _ in rows] == etas.tolist()
+    with mpmath.workdps(40):
+        for eta, modulus in rows:
+            ref = mpmath.fsum(
+                int(ca * cb) * mpmath.expj(mpmath.mpf(eta) * mpmath.mpf(a) * mpmath.mpf(b))
+                for a, ca in zip(vals.tolist(), cnt) for b, cb in zip(vals.tolist(), cnt)
+            )
+            assert abs(float(modulus) - float(abs(ref) / tables[0].size**2)) <= 1e-13, eta
+    assert len(list(twisted._bands(etas[-1], vals, np.ptp(vals) / 2))) > 1
+    assert float(json.loads((tmp_path / "expsum.json").read_text())["max_cross_bound"]) <= 1.0
 
 
 def test_all_runs_in_order(tmp_path):
@@ -290,7 +321,11 @@ def test_operation_error_exit_code(tmp_path):
         ("deviations", {"deviation_levels": [6, 17]}),
         ("nonconc", {"zeta_n": 8, "zeta_context": "0101010101010"}),
         ("expsum", {"expsum_k": 3}),
-        ("expsum", {"expsum_k": 3, "zeta_n": 10}),
+        ("expsum", {"expsum_k": 3, "zeta_n": 12}),
+        ("expsum", {"expsum_k": 4, "zeta_n": 8}),
+        ("construct", [1, 2]),
+        ("construct", "x"),
+        ("construct", {"experiment": "construct", "config": [1, 2]}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

@@ -1,14 +1,16 @@
 """Twisted-operator profiles, phase tables, pair counts, exponential sums."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from solenoidlab import solenoid, twisted
+from solenoidlab import twisted
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.symbolic import apply_word, index_word
 from solenoidlab.thermo import mme_potential, solve_equilibrium
@@ -179,15 +181,15 @@ def test_concentration_report_positive_gamma(pert_eq):
 
 def test_exp_sum_all_ones():
     tab = _table(np.ones(32))
-    for eta in (0.1, 1.0, 17.0):
-        assert exp_sum(eta, [tab]) == pytest.approx(1.0, abs=1e-12)
-        assert exp_sum(eta, [tab, tab, tab]) == pytest.approx(1.0, abs=1e-10)
+    etas = (0.1, 1.0, 17.0)
+    assert exp_sum(etas, [tab]).moduli == pytest.approx([1.0] * 3, abs=1e-12)
+    assert exp_sum(etas, [tab, tab, tab]).moduli == pytest.approx([1.0] * 3, abs=1e-10)
 
 
 def test_exp_sum_geometric_sum_closed_form():
     n = 64
     tab = _table(np.arange(n) * 2.0 * np.pi / n)
-    got = exp_sum(1.0, [tab])
+    (got,) = exp_sum([1.0], [tab]).moduli
     # |sum_{b<n} e^{i 2 pi b / n}| = 0 exactly
     assert got == pytest.approx(0.0, abs=1e-12)
 
@@ -197,7 +199,7 @@ def test_exp_sum_k1_matches_direct():
     vals = 1.0 + 0.01 * rng.random(100)
     tab = _table(vals)
     direct = abs(np.exp(1j * 3.7 * vals).sum()) / 100
-    assert exp_sum(3.7, [tab]) == pytest.approx(direct, abs=1e-12)
+    assert exp_sum([3.7], [tab]).moduli[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_exp_sum_k2_matches_double_loop():
@@ -208,7 +210,7 @@ def test_exp_sum_k2_matches_double_loop():
     direct = abs(
         sum(np.exp(1j * eta * x * y) for x in a.values for y in b.values)
     ) / 40**2
-    assert exp_sum(eta, [a, b]) == pytest.approx(direct, abs=1e-10)
+    assert exp_sum([eta], [a, b]).moduli[0] == pytest.approx(direct, abs=1e-10)
 
 
 def test_exp_sum_k3_fold_matches_triple_loop():
@@ -223,7 +225,7 @@ def test_exp_sum_k3_fold_matches_triple_loop():
             for z in tables[2].values
         )
     ) / 24**3
-    assert exp_sum(eta, tables) == pytest.approx(direct, abs=1e-10)
+    assert exp_sum([eta], tables).moduli[0] == pytest.approx(direct, abs=1e-10)
 
 
 def test_exp_sum_permutation_invariant():
@@ -231,15 +233,14 @@ def test_exp_sum_permutation_invariant():
     vals = 1.0 + 0.02 * rng.random(64)
     shuf = vals.copy()
     rng.shuffle(shuf)
-    assert exp_sum(5.0, [_table(vals), _table(vals)]) == pytest.approx(
-        exp_sum(5.0, [_table(shuf), _table(shuf)]), abs=1e-12
+    assert exp_sum([5.0], [_table(vals), _table(vals)]).moduli == pytest.approx(
+        exp_sum([5.0], [_table(shuf), _table(shuf)]).moduli, abs=1e-12
     )
 
 
 def test_exp_sum_bounded(pert_eq):
     tab = zeta_table(pert_eq, (1, 0) * 4 + (1,), 8)
-    for eta in np.geomspace(3.0, 300.0, 6):
-        val = exp_sum(eta, [tab, tab])
+    for val in exp_sum(np.geomspace(3.0, 300.0, 6), [tab, tab]).moduli:
         assert 0.0 <= val <= 1.0 + 1e-12
 
 
@@ -248,7 +249,7 @@ def test_exp_sum_decreasing_trend_over_jn(pert_eq):
     tab = zeta_table(pert_eq, (0, 1) * 5 + (0,), n)
     eps0 = 0.3
     etas = np.geomspace(np.exp(eps0 * n / 2), np.exp(2 * eps0 * n), 10)
-    mods = [exp_sum(eta, [tab, tab]) for eta in etas]
+    mods = exp_sum(etas, [tab, tab]).moduli
     slope = np.polyfit(np.log(etas), np.log(mods), 1)[0]
     assert slope < 0.0
 
@@ -307,38 +308,52 @@ def test_expansion_matches_exact_reference(k):
             # path ~1e-13; the mpmath test covers that range
             if eta * v.max() * tables[-1].values.max() > 1e4:
                 continue
-            got, want = exp_sum(eta, tables), _exact_exp_sum(eta, tables)
+            got, want = exp_sum([eta], tables).moduli[0], _exact_exp_sum(eta, tables)
             assert abs(got - want) <= 1e-13, (spread, bound, got, want)
             compared.append((bound, eta, tables))
     # spread 2 reaches B = 1e3, which splits the values into many bands
     bound, eta, tables = compared[-1]
     assert min(c[0] for c in compared) == 1e-6 and bound == 1e3
-    terms, band_bound = twisted.expansion_cost([eta], tables)
-    assert band_bound <= 1.0 + 1e-12
-    assert terms >= 40 or k == 1
+    report = exp_sum([eta], tables)
+    assert report.max_cross_bound <= 1.0 + 1e-12
+    assert report.terms >= 40 or k == 1
 
 
 @pytest.mark.parametrize("fold_limit", [twisted._FOLD_LIMIT, 150_000])
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_banded_exp_sum_equals_whole_block(monkeypatch, workers, k, fold_limit):
+@pytest.mark.parametrize("etas_per_call", [1, 2])
+def test_banded_exp_sum_equals_whole_block(monkeypatch, etas_per_call, k, fold_limit):
     rng = np.random.default_rng(71)
     tables = []
     for _ in range(k):
         distinct = 1.0 + 0.05 * rng.random(150)
         tables.append(_table(np.concatenate([distinct, rng.choice(distinct, 50)])))
     etas = (3.0, 47.0, 910.0, 5000.0)  # 5000 splits the values into several bands at k >= 2
-    default = [exp_sum(eta, tables) for eta in etas]
-    monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
+    default = exp_sum(etas, tables).moduli
     monkeypatch.setattr(twisted, "_FOLD_LIMIT", fold_limit)
     # 150_000 // (10 * 150) = 100 rows per reference chunk: two chunks at k = 2, ~225 at k = 3
-    for eta, before in zip(etas, default):
-        got = exp_sum(eta, tables)
-        assert got == before  # neither the thread count nor the fold limit reaches the sum
+    calls = [etas[i : i + etas_per_call] for i in range(0, len(etas), etas_per_call)]
+    split = [m for part in calls for m in exp_sum(part, tables).moduli]
+    for eta, got, before in zip(etas, split, default):
+        assert got == before  # neither the split of the eta list nor the fold limit reaches a sum
         assert abs(got - _exact_exp_sum(eta, tables)) <= 1e-13, eta
     if k > 1:
         values, _ = twisted._product_distribution(tables[:-1])
         assert len(list(twisted._bands(etas[-1], values, np.ptp(tables[-1].values) / 2))) > 1
+
+
+def test_twisted_starts_no_threads():
+    # exp_sum runs on the calling thread, so no thread count can reach its
+    # sums; a pool brought back here needs a test that the sums do not
+    # depend on the thread count.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(twisted.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {alias.name for alias in node.names}
+    assert not {name.split(".")[0] for name in imported} & {"solenoid", "threading", "concurrent"}
 
 
 def test_expansion_matches_mpmath_on_default_table(pert_eq):
@@ -352,7 +367,7 @@ def test_expansion_matches_mpmath_on_default_table(pert_eq):
                 for a, ca in zip(vals.tolist(), cnt) for b, cb in zip(vals.tolist(), cnt)
             )
             want = float(abs(ref) / 128**2)
-            assert abs(exp_sum(eta, [sub, sub]) - want) <= 1e-14, eta
+            assert abs(exp_sum([eta], [sub, sub]).moduli[0] - want) <= 1e-14, eta
 
 
 def test_exp_sum_memory_and_extreme_eta(pert_eq):
@@ -360,15 +375,15 @@ def test_exp_sum_memory_and_extreme_eta(pert_eq):
     eta = math.exp(2.0 * 0.26 * 12)  # the CLI's largest default eta
     tracemalloc.start()
     try:
-        exp_sum(eta, [tab, tab])
+        exp_sum([eta], [tab, tab])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20  # the N x M phase block would be ~60 MB
     # past every distinct value's spacing each value is its own band, with B = 0
-    assert 0.0 <= exp_sum(1e30, [tab, tab]) <= 1.0
-    distinct = np.unique(tab.values).size
-    assert twisted.expansion_cost([1e30], [tab, tab]) == (distinct, 0.0)
+    report = exp_sum([1e30], [tab, tab])
+    assert 0.0 <= report.moduli[0] <= 1.0
+    assert (report.terms, report.max_cross_bound) == (np.unique(tab.values).size, 0.0)
 
 
 def test_table_scale_linear_and_ties(lin_eq):
