@@ -22,12 +22,15 @@ import numpy as np
 
 from . import __version__
 from .circle_map import BUMP_KINDS, coefficient_table, lyapunov_target, verify_lattice
+from .fourier import _FIBER_RESOLUTION, _MIN_FREQUENCIES, _MIN_SAMPLES
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from .solenoid import _worker_count, periodic_orbit
 from .symbolic import _MAX_LEVEL, cylinder_rows
 from .thermo import (
+    _MIN_GRID,
     EquilibriumData,
     GridFunction,
+    _grid_ok,
     gibbs_ratio_stats,
     large_deviation_profile,
     mme_potential,
@@ -36,6 +39,8 @@ from .thermo import (
 )
 from .twisted import (
     _FOLD_LIMIT,
+    _MAX_BLOCK,
+    _MAX_STEPS,
     concentration_report,
     exp_sum,
     table_scale,
@@ -75,20 +80,21 @@ DEFAULTS = {
 
 
 # Inclusive (low, high) bounds on each integer value and on each entry of an
-# integer list: a fitted slope needs two sigmas or etas, decay_exponent needs
-# eight frequencies, a zeta block must be short enough to tabulate, and the
-# cylinder and deviation levels stay within the enumeration cap.
+# integer list.  A fitted slope needs two sigmas or etas; every other limit is
+# the one its library function enforces, read from that function's module:
+# mu_depth is the least depth with 4^-depth <= fourier._FIBER_RESOLUTION.
 _BOUNDS = {
     "seed": (0, math.inf),
     "n_max": (1, math.inf),
     "lattice_k_max": (2, math.inf),
     "expsum_k": (1, math.inf),
-    "mu_samples": (1000, math.inf),
-    "freq_count": (8, math.inf),
+    "mu_samples": (_MIN_SAMPLES, math.inf),
+    "mu_depth": (math.ceil(-math.log(_FIBER_RESOLUTION, 4)), math.inf),
+    "freq_count": (_MIN_FREQUENCIES, math.inf),
     "sigma_count": (2, math.inf),
     "eta_count": (2, math.inf),
-    "zeta_n": (1, 14),
-    "twist_steps": (1, 200),
+    "zeta_n": (1, _MAX_BLOCK),
+    "twist_steps": (1, _MAX_STEPS),
     "orbit_periods": (1, math.inf),
     "gibbs_levels": (1, _MAX_LEVEL),
     "deviation_levels": (1, _MAX_LEVEL),
@@ -153,12 +159,12 @@ def _validate(config: dict) -> np.ndarray | None:
     """Reject a config outside the range where the numbers mean anything.
 
     Returns the grid of a custom potential file, checked to hold grid_m
-    finite values, or None for mme and srb.
+    finite numbers, or None for mme and srb.
     """
     _check_keys(config)
     m = config["grid_m"]
-    if m < 1024 or m & (m - 1):
-        raise ConfigError(f"grid_m must be a power of two >= 1024, got {m}")
+    if not _grid_ok(m):
+        raise ConfigError(f"grid_m must be a power of two >= {_MIN_GRID}, got {m}")
     for key, (low, high) in _BOUNDS.items():
         value = config[key]
         if not all(low <= v <= high for v in (value if isinstance(value, list) else [value])):
@@ -180,8 +186,6 @@ def _validate(config: dict) -> np.ndarray | None:
         )
     if not config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need sigma_lo < sigma_hi")
-    if 4.0 ** (-config["mu_depth"]) > 1e-9:
-        raise ConfigError("mu_depth leaves the fiber unresolved")
     levels = config["deviation_levels"]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("deviation_levels must be a non-empty increasing list")
@@ -190,15 +194,15 @@ def _validate(config: dict) -> np.ndarray | None:
     kind = config["potential"]
     if kind in ("mme", "srb"):
         return None
-    if not Path(kind).exists():
+    if not Path(kind).is_file():
         raise ConfigError(f"potential must be 'mme', 'srb', or a JSON file; got {kind!r}")
     with open(kind) as fh:
-        values = np.asarray(json.load(fh), dtype=float)
-    if values.shape != (m,):
-        raise ConfigError(f"custom potential has {values.size} values, expected {m}")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("custom potential holds a non-finite value")
-    return values
+        values = json.load(fh)
+    if not _type_ok(values, [0.0]):
+        raise ConfigError("custom potential must be a JSON list of finite numbers")
+    if len(values) != m:
+        raise ConfigError(f"custom potential has {len(values)} values, expected {m}")
+    return np.asarray(values, dtype=float)
 
 
 def _build_potential(config: dict, spec, custom: np.ndarray | None) -> GridFunction:
@@ -431,23 +435,27 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
 # A flag row: (flag, config key, help); the flag's type is its default's.
 Flag = tuple[str, str, str]
 
+# Every runner builds the map from these; _flags adds _EQUILIBRIUM_FLAGS to each
+# experiment that solves the equilibrium.
 SHARED_FLAGS: tuple[Flag, ...] = (
-    ("--seed", "seed", "Monte-Carlo seed"),
-    ("--grid", "grid_m", "grid size (power of two >= 1024)"),
     ("--n-max", "n_max", "coefficient truncation order"),
-    ("--potential", "potential", "mme, srb, or path to a JSON grid"),
     ("--bump-kind", "bump_kind", f"bump profile of the perturbation: {' or '.join(BUMP_KINDS)}"),
+)
+
+_EQUILIBRIUM_FLAGS: tuple[Flag, ...] = (
+    ("--grid", "grid_m", f"grid size (power of two >= {_MIN_GRID})"),
+    ("--potential", "potential", "mme, srb, or path to a JSON grid"),
 )
 
 _ZETA_FLAGS: tuple[Flag, ...] = (
     ("--zeta-n", "zeta_n", "phase-table block length"),
     ("--context", "zeta_context", "context word as a 0/1 string"),
-    ("--eps0", "eps0", "eta-window exponent"),
 )
 
 
 class Experiment(NamedTuple):
-    """A subcommand: runner(config, out, eq), whether eq is solved first, its own flags."""
+    """A subcommand: runner(config, out, eq), whether eq is solved first (which also
+    brings _EQUILIBRIUM_FLAGS), and its own flags."""
 
     runner: Callable | None  # None: solving the equilibrium is the whole experiment
     needs_equilibrium: bool
@@ -468,10 +476,14 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {  # in dependency order, the order of
         ("--steps", "twist_steps", "twisted iteration count"),
     )),
     "nonconc": Experiment(_run_nonconc, True, _ZETA_FLAGS),
-    "expsum": Experiment(_run_expsum, True, _ZETA_FLAGS),
+    "expsum": Experiment(_run_expsum, True, (
+        *_ZETA_FLAGS,
+        ("--eps0", "eps0", "eta-window exponent"),
+    )),
     "fourier": Experiment(_run_fourier, True, (
         ("--samples", "mu_samples", "Monte-Carlo sample count"),
         ("--depth", "mu_depth", "attractor iteration depth"),
+        ("--seed", "seed", "Monte-Carlo seed"),
     )),
 }
 
@@ -483,8 +495,13 @@ def _chain(experiment: str) -> tuple[str, ...]:
 
 
 def _flags(experiment: str) -> tuple[Flag, ...]:
-    """The shared flags plus every flag of the experiments the command runs."""
-    own = (row for name in _chain(experiment) for row in EXPERIMENT_TABLE[name].flags)
+    """The shared flags plus every flag of the experiments the command runs,
+    the equilibrium's among them where one of those experiments solves it."""
+    own = (
+        row
+        for entry in map(EXPERIMENT_TABLE.get, _chain(experiment))
+        for row in (_EQUILIBRIUM_FLAGS if entry.needs_equilibrium else ()) + entry.flags
+    )
     return SHARED_FLAGS + tuple(dict.fromkeys(own))
 
 

@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+# mu_hat averages at least this many samples, pushed until the fibers lie
+# within 4^-depth <= _FIBER_RESOLUTION of the attractor; decay_exponent fits
+# at least _MIN_FREQUENCIES frequencies.
+_MIN_SAMPLES = 1000
+_FIBER_RESOLUTION = 1e-9
+_MIN_FREQUENCIES = 8
+
+
 def dyadic_frequencies(base: float = 100.0, count: int = 11) -> np.ndarray:
     """Default frequency schedule base * 2^j, j = 0..count-1."""
     return base * 2.0 ** np.arange(count)
@@ -81,10 +89,12 @@ def mu_hat(
     component (the unstable cone); purely fiber-directed frequencies probe
     the transverse fractal structure instead.
     """
-    if samples < 1_000:
-        raise ValueError("samples must be >= 1000")
-    if 4.0 ** (-depth) > 1e-9:
-        raise ValueError("depth leaves the fiber unresolved: need 4^-depth <= 1e-9")
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {_MIN_SAMPLES}")
+    if 4.0 ** (-depth) > _FIBER_RESOLUTION:
+        raise ValueError(
+            f"depth leaves the fiber unresolved: need 4^-depth <= {_FIBER_RESOLUTION}"
+        )
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (3,) or xi.ndim > 2:
         raise ValueError("xi must be a 3-vector or a (k, 3) array")
@@ -122,8 +132,8 @@ def decay_exponent(series: Sequence[tuple[float, float]]) -> DecaySeries:
     """
     freqs = np.array([f for f, _ in series], dtype=float)
     mods = np.array([m for _, m in series], dtype=float)
-    if freqs.size < 8:
-        raise ValueError("need at least 8 frequencies")
+    if freqs.size < _MIN_FREQUENCIES:
+        raise ValueError(f"need at least {_MIN_FREQUENCIES} frequencies")
     if np.any(np.diff(freqs) <= 0) or np.any(freqs <= 0):
         raise ValueError("frequencies must be positive and increasing")
     if freqs[-1] / freqs[0] < 100.0:

@@ -50,6 +50,15 @@ class SpectralConvergenceError(Exception):
     """Power iteration failed to settle, signalling a missing spectral gap."""
 
 
+# The coarsest collocation grid; every grid is a power of two at least this fine.
+_MIN_GRID = 1024
+
+
+def _grid_ok(m: int) -> bool:
+    """m nodes make a collocation grid: a power of two >= _MIN_GRID."""
+    return m >= _MIN_GRID and not m & (m - 1)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real function on m uniform circle nodes with wraparound linear interpolation."""
@@ -58,9 +67,8 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        m = vals.size
-        if vals.ndim != 1 or m < 1024 or m & (m - 1):
-            raise ValueError("grid size must be a power of two >= 2^10")
+        if vals.ndim != 1 or not _grid_ok(vals.size):
+            raise ValueError(f"grid size must be a power of two >= {_MIN_GRID}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -463,9 +471,9 @@ def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
     local = (u - cdf[j]) * m  # mass to absorb inside cell j, times m
     a = rho[j]
     b = rho[(j + 1) % m] - rho[j]
-    # solve a t + b t^2 / 2 = local for t in [0, 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.sqrt(np.maximum(a * a + 2.0 * b * local, 0.0))
-        t = np.where(np.abs(b) > 1e-12 * np.maximum(a, 1.0), (disc - a) / b, local / a)
+    # solve a t + b t^2 / 2 = local for t in [0, 1]; the root (disc - a) / b,
+    # rationalized, cancels nowhere and needs no branch for b near 0
+    disc = np.sqrt(np.maximum(a * a + 2.0 * b * local, 0.0))
+    t = 2.0 * local / (a + disc)
     t = np.clip(t, 0.0, 1.0)
     return (j + t) / m

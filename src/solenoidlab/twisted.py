@@ -34,14 +34,19 @@ __all__ = [
 ]
 
 
+# The longest twisted iteration and the longest phase-table block.
+_MAX_STEPS = 200
+_MAX_BLOCK = 14
+
+
 def twisted_norm_profile(eq: EquilibriumData, t: float, n_max: int) -> np.ndarray:
     """Sup-norms of L_{it}^n applied to 1, for n = 1..n_max.
 
     At t = 0 the normalized operator fixes 1 so the profile is constant one;
     contraction at large |t| is the operator-level signature of nonlinearity.
     """
-    if not 1 <= n_max <= 200:
-        raise ValueError("n_max must be in 1..200")
+    if not 1 <= n_max <= _MAX_STEPS:
+        raise ValueError(f"n_max must be in 1..{_MAX_STEPS}")
     mat = transfer_matrix(eq.spec, eq.phi, twist=float(t))
     h = np.ones(eq.m, dtype=complex)
     norms = np.empty(n_max)
@@ -79,8 +84,8 @@ def zeta_table(eq: EquilibriumData, context: Sequence[int], n: int) -> ZetaTable
     are composed right to left from the anchor selected by b's last symbol.
     For the linear map every entry equals one.
     """
-    if not 1 <= n <= 14:
-        raise ValueError("n must be in 1..14")
+    if not 1 <= n <= _MAX_BLOCK:
+        raise ValueError(f"n must be in 1..{_MAX_BLOCK}")
     ctx = _check_word(context)
     if len(ctx) != n + 1:
         raise ValueError(f"context must have length n + 1 = {n + 1}, got {len(ctx)}")

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import solenoidlab
-from solenoidlab import cli, fourier, solenoid, twisted
+from solenoidlab import cli, fourier, solenoid, thermo, twisted
+from solenoidlab.circle_map import coefficient_table
 from solenoidlab.cli import (
     EXPERIMENT_TABLE,
     SHARED_FLAGS,
@@ -263,6 +264,21 @@ def test_non_finite_custom_potential_rejected_before_artifacts(tmp_path):
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("case", ["directory", "string entry", "booleans"])
+def test_custom_potential_outside_the_type_rule_rejected_before_artifacts(tmp_path, case):
+    # the entries obey the config type rule: finite numbers, no bool, no nesting
+    if case == "directory":
+        pot = tmp_path / "pot"
+        pot.mkdir()
+    else:
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps(["a", 1] if case == "string entry" else [True] * 1024))
+    out = tmp_path / "out"
+    argv = ["equilibrium", "--out", str(out), "--grid", "1024", "--potential", str(pot)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_custom_potential_file_read_once(tmp_path, monkeypatch):
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps([0.0] * 1024))
@@ -334,6 +350,54 @@ def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad)
     out = tmp_path / "out"
     assert main([experiment, "--out", str(out), "--config", str(config)]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.fixture(scope="module")
+def small_eq():
+    return thermo.solve_equilibrium(coefficient_table(5), thermo.mme_potential(1 << 10))
+
+
+def _context(n):
+    return ("01" * (n + 1))[: n + 1]
+
+
+# Each limit the CLI reads from a library module, the library call that
+# enforces it (its argument check only: these calls do no work when the check
+# fails), and the boundary value followed by the values one step past it.
+_LIMITS = {
+    "grid_m": (lambda eq, m: thermo.GridFunction(np.zeros(m)), 1024, [512, 1536]),
+    "mu_samples": (lambda eq, s: fourier.mu_hat(eq, np.zeros((0, 3)), s), 1000, [999]),
+    "mu_depth": (lambda eq, d: fourier.mu_hat(eq, np.zeros((0, 3)), depth=d), 15, [14]),
+    "freq_count": (
+        lambda eq, k: fourier.decay_exponent([(f, f**-0.5) for f in 10.0 * 2.0 ** np.arange(k)]),
+        8,
+        [7],
+    ),
+    "zeta_n": (lambda eq, n: twisted.zeta_table(eq, [int(c) for c in _context(n)], n), 14, [15]),
+    "twist_steps": (lambda eq, n: twisted.twisted_norm_profile(eq, 100.0, n), 200, [201]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LIMITS))
+def test_cli_limits_match_the_library(small_eq, key, monkeypatch):
+    call, boundary, past = _LIMITS[key]
+
+    def config(value):
+        extra = {"zeta_context": _context(value)} if key == "zeta_n" else {}
+        return _fast_config(**{key: value}, **extra)
+
+    cli._validate(config(boundary))
+    call(small_eq, boundary)
+    # past the limit, nothing may run beyond the argument check
+    for name in ("push_forward", "sample"):
+        monkeypatch.setattr(fourier, name, None)
+    for name in ("preimage_tree", "transfer_matrix"):
+        monkeypatch.setattr(twisted, name, None)
+    for value in past:
+        with pytest.raises(ConfigError, match=key):
+            cli._validate(config(value))
+        with pytest.raises(ValueError):
+            call(small_eq, value)
 
 
 # ---------------------------------------------------------------------------
@@ -432,25 +496,20 @@ def test_python_m_runs_from_checkout(tmp_path):
     assert (tmp_path / "coefficients.json").exists()
 
 
-# every subcommand's flags and the config key each sets, as the parser had them
-# before it was generated from the experiment table
-_SHARED_FLAGS = {
-    "--seed": "seed",
-    "--grid": "grid_m",
-    "--n-max": "n_max",
-    "--potential": "potential",
-    "--bump-kind": "bump_kind",
-}
-_ZETA_FLAGS = {"--zeta-n": "zeta_n", "--context": "zeta_context", "--eps0": "eps0"}
+# every subcommand's flags and the config key each sets: a flag reaches only
+# the subcommands whose runners read its key, 42 (flag, subcommand) pairs
+_SHARED_FLAGS = {"--n-max": "n_max", "--bump-kind": "bump_kind"}
+_EQ = {"--grid": "grid_m", "--potential": "potential"}
+_ZETA_FLAGS = {"--zeta-n": "zeta_n", "--context": "zeta_context"}
 _OWN_FLAGS = {
     "construct": {"--k-max": "lattice_k_max"},
-    "equilibrium": {},
-    "gibbs": {},
-    "deviations": {"--epsilon": "deviation_epsilon"},
-    "twisted": {"--t": "twist_t", "--steps": "twist_steps"},
-    "nonconc": _ZETA_FLAGS,
-    "expsum": _ZETA_FLAGS,
-    "fourier": {"--samples": "mu_samples", "--depth": "mu_depth"},
+    "equilibrium": _EQ,
+    "gibbs": _EQ,
+    "deviations": {**_EQ, "--epsilon": "deviation_epsilon"},
+    "twisted": {**_EQ, "--t": "twist_t", "--steps": "twist_steps"},
+    "nonconc": {**_EQ, **_ZETA_FLAGS},
+    "expsum": {**_EQ, **_ZETA_FLAGS, "--eps0": "eps0"},
+    "fourier": {**_EQ, "--samples": "mu_samples", "--depth": "mu_depth", "--seed": "seed"},
 }
 _OWN_FLAGS["all"] = {k: v for flags in _OWN_FLAGS.values() for k, v in flags.items()}
 _FLAG_VALUE = {"--bump-kind": "exp", "--context": "0101", "--potential": "mme"}

@@ -510,9 +510,10 @@ def _sampling_eq(kind):
        count=st.integers(1, 50_000))
 def test_property_sample_inverts_measure_cdf(kind, seed, count):
     # sample draws u = rng.random(count) and solves nu([0, x]) = u in x.  The
-    # quadratic root loses up to 5.6e-9 to cancellation on nearly flat mme
-    # cells (a dense scan of the flattest ones); inverting linearly,
-    # t = local / a, misses by up to 4.3e-4.
+    # textbook root (disc - a) / b loses up to 5.6e-9 to cancellation on nearly
+    # flat mme cells (a dense scan of the flattest ones), and inverting
+    # linearly, t = local / a, misses by up to 4.3e-4; the rationalized root
+    # 2 local / (a + disc) cancels nowhere and misses by a few ulps.
     eq = _sampling_eq(kind)
     u = np.random.default_rng(seed).random(count)
-    assert np.abs(measure_cdf(eq, sample(eq, count, seed)) - u).max() < 1e-8
+    assert np.abs(measure_cdf(eq, sample(eq, count, seed)) - u).max() < 1e-14
