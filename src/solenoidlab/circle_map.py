@@ -271,42 +271,36 @@ def f_eval(spec: PerturbationSpec, x):
 _PERIODIC_TOL = 1e-12
 
 
-def periodic_theta(spec: PerturbationSpec, N: int) -> tuple[float, float]:
-    """Lattice periodic point 1/(2^N - 1) and its orbit-closure residual.
+def _periodic_walk(spec: PerturbationSpec, theta: float, N: int) -> tuple[float, float]:
+    """N steps of f from theta mod 1: the sum of ln f' along them and the closure residual.
 
     Raises PeriodicityError if f^N fails to return within _PERIODIC_TOL,
     which would signal either a broken coefficient table or precision loss.
     """
+    start = y = _mod1(float(theta))
+    total = 0.0
+    for _ in range(N):
+        y, fp = f_eval(spec, y)
+        total += np.log(fp)
+    residual = circle_dist(y, start)
+    if residual >= _PERIODIC_TOL:
+        raise PeriodicityError(f"f^{N} moves {theta!r} by {residual:.3e} >= {_PERIODIC_TOL:.1e}")
+    return total, residual
+
+
+def periodic_theta(spec: PerturbationSpec, N: int) -> tuple[float, float]:
+    """Lattice periodic point 1/(2^N - 1) and its orbit-closure residual (see _periodic_walk)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     theta = 1.0 / (2.0**N - 1.0)
-    y = theta
-    for _ in range(N):
-        y, _ = f_eval(spec, y)
-    residual = circle_dist(y, theta)
-    if residual >= _PERIODIC_TOL:
-        raise PeriodicityError(
-            f"f^{N}(1/(2^{N}-1)) missed its start by {residual:.3e} (tol {_PERIODIC_TOL:.1e})"
-        )
-    return theta, residual
+    return theta, _periodic_walk(spec, theta, N)[1]
 
 
 def lyapunov_periodic(spec: PerturbationSpec, theta: float, N: int) -> float:
     """Orbit-averaged log-derivative (1/N) sum ln f'(f^k theta) along an N-periodic orbit."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    start = y = _mod1(float(theta))
-    total = 0.0
-    for _ in range(N):
-        fy, fp = f_eval(spec, y)
-        total += np.log(fp)
-        y = fy
-    residual = circle_dist(y, start)
-    if residual >= _PERIODIC_TOL:
-        raise PeriodicityError(
-            f"point {theta!r} is not {N}-periodic (residual {residual:.3e})"
-        )
-    return total / N
+    return _periodic_walk(spec, theta, N)[0] / N
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,17 @@ def resolve_config(overrides: dict | None = None, config_path: str | None = None
 
 
 def _type_ok(value, default) -> bool:
-    """value has default's type: an int or finite float for a float, no bool, lists entry-wise."""
+    """value has default's type: for a float, a finite double or an int that is one;
+    no bool; lists entry-wise."""
     if isinstance(value, bool):
         return False
     if isinstance(default, list):
         return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
     if isinstance(default, float):
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(float(value))
+        except OverflowError:  # an int beyond the largest double
+            return False
     return isinstance(value, type(default))
 
 
@@ -184,6 +188,7 @@ def _validate(config: dict) -> np.ndarray | None:
             f"N^(expsum_k - 1) = 2^((zeta_n + 1) * (expsum_k - 1)) must be at most the fold limit "
             f"{_FOLD_LIMIT:,}: zeta_n <= {bits // 2 - 1} at expsum_k = 3, <= {bits // 3 - 1} at 4"
         )
+    _etas(config)  # raises when the largest eta overflows a double
     if not config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need sigma_lo < sigma_hi")
     levels = config["deviation_levels"]
@@ -203,6 +208,16 @@ def _validate(config: dict) -> np.ndarray | None:
     if len(values) != m:
         raise ConfigError(f"custom potential has {len(values)} values, expected {m}")
     return np.asarray(values, dtype=float)
+
+
+def _etas(config: dict) -> np.ndarray:
+    """expsum's eta_count etas, geometric from e^(eps0 zeta_n / 2) to e^(2 eps0 zeta_n)."""
+    n, eps0 = config["zeta_n"], config["eps0"]
+    with np.errstate(over="ignore"):
+        top = np.exp(2.0 * eps0 * n)
+    if not np.isfinite(top):
+        raise ConfigError(f"the largest eta, e^(2 eps0 zeta_n) = e^{2 * eps0 * n:g}, overflows")
+    return np.geomspace(np.exp(eps0 * n / 2.0), top, config["eta_count"])
 
 
 def _build_potential(config: dict, spec, custom: np.ndarray | None) -> GridFunction:
@@ -231,16 +246,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _encode(obj, depth: int = 0):
     """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces, byte for byte, for str keys.
 
-    Each non-empty list of numbers goes to the C encoder in one call and is
-    re-indented by splitting at ", ", which no number's encoding contains;
-    the indented json.dumps would fall back to the pure-Python encoder,
-    several times slower on the equilibrium grids.  Written as they come,
-    the pieces hold one grid in memory at a time, not the whole document.
+    A non-empty 1-D array (an equilibrium grid) goes to the C encoder as one
+    list and is re-indented by splitting at ", ", which no number's encoding
+    contains; the indented json.dumps would fall back to the pure-Python
+    encoder, several times slower on the grids.  Written as they come, the
+    pieces hold one grid in memory at a time, not the whole document.
     """
     pad = "\n" + "  " * (depth + 1)
     is_list = isinstance(obj, (list, tuple)) and bool(obj)
-    if is_list and all(isinstance(v, (int, float)) for v in obj):
-        yield "[" + pad + json.dumps(obj)[1:-1].replace(", ", "," + pad) + pad[:-2] + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size:
+        yield "[" + pad + json.dumps(obj.tolist())[1:-1].replace(", ", "," + pad) + pad[:-2] + "]"
     elif isinstance(obj, dict) and obj:
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON artifact keys must be strings")
@@ -298,10 +313,10 @@ def _run_equilibrium(config: dict, out: Path, custom: np.ndarray | None) -> Equi
             "pressure": _fmt(eq.pressure),
             "lyapunov": _fmt(eq.lyapunov),
             "dimension": _fmt(eq.dimension),
-            "psi": eq.potential_psi.values.tolist(),
-            "eigenfunction": eq.eigenfunction.values.tolist(),
-            "density": eq.density.values.tolist(),
-            "phi": eq.phi.values.tolist(),
+            "psi": eq.potential_psi.values,
+            "eigenfunction": eq.eigenfunction.values,
+            "density": eq.density.values,
+            "phi": eq.phi.values,
         },
     )
     return eq
@@ -372,15 +387,14 @@ def _run_nonconc(config: dict, out: Path, eq: EquilibriumData) -> None:
 
 def _run_expsum(config: dict, out: Path, eq: EquilibriumData) -> None:
     table = _zeta(config, eq)
-    n, eps0 = config["zeta_n"], config["eps0"]
-    etas = np.geomspace(np.exp(eps0 * n / 2.0), np.exp(2.0 * eps0 * n), config["eta_count"])
+    etas = _etas(config)
     report = exp_sum(etas, [table] * config["expsum_k"])
     _write_csv(out / "expsum.csv", ["eta", "exp_sum_modulus"], zip(etas.tolist(), report.moduli))
     slope = float(np.polyfit(np.log(etas), np.log(report.moduli), 1)[0])
     _write_json(
         out / "expsum.json",
         {
-            "eps0": _fmt(eps0),
+            "eps0": _fmt(config["eps0"]),
             "k": config["expsum_k"],
             "fitted_slope": _fmt(slope),
             "terms": report.terms,

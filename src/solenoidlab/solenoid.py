@@ -16,12 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle_map import _PERIODIC_TOL, PerturbationSpec, circle_dist, f_eval
+from .circle_map import _PERIODIC_TOL, PeriodicityError, PerturbationSpec, circle_dist, f_eval
 
 __all__ = [
     "SolenoidPoint",
     "PeriodicOrbit",
-    "FiberConvergenceError",
     "step",
     "step_many",
     "push_forward",
@@ -36,12 +35,6 @@ _QUARTER_PI_INV = 1.0 / (4.0 * np.pi)
 # stay in cache across all its steps; the size is fixed so that the output
 # cannot depend on how many threads share the chunks.
 _CHUNK = 1 << 16
-_FIBER_TOL = 1e-13  # periodic_orbit: a sweep moving the fiber less than this stops
-_FIBER_SWEEPS = 200  # periodic_orbit: sweeps before FiberConvergenceError
-
-
-class FiberConvergenceError(Exception):
-    """Fiber contraction failed to settle, signalling precision breakdown."""
 
 
 class SolenoidPoint(NamedTuple):
@@ -150,28 +143,22 @@ def jacobian(spec: PerturbationSpec, p: SolenoidPoint) -> np.ndarray:
 def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
     """Periodic orbit of F over the angular point 0 (N = 1) or 1/(2^N - 1).
 
-    The fiber coordinates come from contraction iteration of F^N starting on
-    the central fiber; each sweep shrinks errors by 4^-N so convergence to
-    _FIBER_TOL is geometric.  The closing walk records the unstable
-    derivatives, and the exponent is the mean of their logs in walk order.
+    Over the periodic angular orbit F^N moves the fiber by the contraction
+    v -> 4^-N v + c, where c is the fiber part of F^N(theta0, 0, 0), so the
+    orbit's fiber point is c / (1 - 4^-N).  The closing walk from there
+    records the points and the unstable derivatives, and the exponent is
+    the mean of their logs in walk order.  Raises PeriodicityError if the
+    walk misses its start by _PERIODIC_TOL or more.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     theta0 = 0.0 if N == 1 else 1.0 / (2.0**N - 1.0)
 
-    p = SolenoidPoint(theta0, 0.0, 0.0)
-    for _ in range(_FIBER_SWEEPS):
-        q = p
-        for _ in range(N):
-            q, _ = step(spec, q)
-        moved = max(abs(q.x - p.x), abs(q.y - p.y))
-        p = SolenoidPoint(theta0, q.x, q.y)
-        if moved < _FIBER_TOL:
-            break
-    else:
-        raise FiberConvergenceError(
-            f"fiber iteration for period {N} did not settle within {_FIBER_SWEEPS} sweeps"
-        )
+    c = SolenoidPoint(theta0, 0.0, 0.0)
+    for _ in range(N):
+        c, _ = step(spec, c)
+    denom = 1.0 - 4.0**-N
+    p = SolenoidPoint(theta0, c.x / denom, c.y / denom)
 
     points, derivs = [p], []
     for _ in range(N):
@@ -179,15 +166,9 @@ def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
         points.append(image)
         derivs.append(deriv)
     closing = points.pop()
-    residual = max(
-        circle_dist(closing.theta, p.theta),
-        abs(closing.x - p.x),
-        abs(closing.y - p.y),
-    )
+    residual = max(circle_dist(closing.theta, p.theta), abs(closing.x - p.x), abs(closing.y - p.y))
     if residual >= _PERIODIC_TOL:
-        raise FiberConvergenceError(
-            f"orbit of period {N} fails to close: residual {residual:.3e}"
-        )
+        raise PeriodicityError(f"orbit of period {N} fails to close: residual {residual:.3e}")
     exponent = sum(np.log(d) for d in derivs) / N
     return PeriodicOrbit(N, tuple(points), tuple(derivs), exponent)
 

@@ -258,6 +258,8 @@ def exp_sum(etas: Sequence[float], tables: Sequence[ZetaTable]) -> ExpSumReport:
     N, k = tables[0].size, len(tables)
     if any(t.size != N for t in tables):
         raise ValueError("all tables must have the same size")
+    if not np.isfinite(etas).all():
+        raise ValueError("every eta must be finite")
 
     values, weights = _product_distribution(tables[:-1])
     last, cnt = np.unique(np.asarray(tables[-1].values, dtype=float), return_counts=True)

@@ -330,6 +330,9 @@ def test_operation_error_exit_code(tmp_path):
         ("deviations", {"deviation_epsilon": float("nan")}),
         ("fourier", {"freq_base": float("inf")}),
         ("twisted", {"twist_t": float("nan")}),
+        ("twisted", {"twist_t": 10**400}),
+        ("fourier", {"mu_cross_t": [10.0, 10**400]}),
+        ("expsum", {"eps0": 29.6}),
         ("fourier", {"mu_cross_t": [10.0, float("nan")]}),
         ("construct", {"bump_kind": "foo"}),
         ("deviations", {"deviation_levels": [0, 6]}),
@@ -350,6 +353,15 @@ def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad)
     out = tmp_path / "out"
     assert main([experiment, "--out", str(out), "--config", str(config)]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_largest_finite_eta_window_runs(tmp_path):
+    # at zeta_n = 12 the largest eta e^(2 eps0 zeta_n) is finite up to eps0 ~ 29.574;
+    # eps0 = 29.6 is rejected above
+    out = tmp_path / "out"
+    assert main(["expsum", "--eps0", "29.57", "--grid", "1024", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "expsum.csv").read_text().split()[1:]]
+    assert len(rows) == 12 and np.isfinite(np.array(rows, dtype=float)).all()
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +417,8 @@ def test_cli_limits_match_the_library(small_eq, key, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _indented(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # an array is written as its list
+    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 _NUMBERS = st.one_of(
@@ -421,6 +434,7 @@ _DOCS = st.recursive(
     lambda inner: st.one_of(
         st.lists(_NUMBERS, min_size=1),
         st.lists(_NUMBERS, min_size=1).map(tuple),
+        st.lists(st.floats() | st.integers(-(2**53), 2**53), min_size=1, max_size=8).map(np.array),
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.dictionaries(_TEXT, inner),
@@ -432,6 +446,7 @@ _DOCS = st.recursive(
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(doc=st.dictionaries(_TEXT, _DOCS, max_size=4))
 @example(doc={"grid": [0.5, float("nan"), 2**64], "mixed": ["a, b", 1.0, [], {}, [-0.0]]})
+@example(doc={"grid": np.array([0.5, float("nan"), -0.0]), "ints": np.arange(3)})
 def test_encoder_matches_indented_json_dumps(doc):
     assert "".join(_encode(doc)) + "\n" == _indented(doc)
 

@@ -10,6 +10,7 @@ import pytest
 from solenoidlab import solenoid
 from solenoidlab.circle_map import (
     BUMP_KINDS,
+    PeriodicityError,
     circle_dist,
     coefficient_table,
     linear_spec,
@@ -138,6 +139,33 @@ def test_periodic_orbit_fixed_point(spec):
     assert orbit.unstable_exponent == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+def test_fixed_point_fiber_is_the_closed_form():
+    # F(0, x, 0) = (0, x/4 + 1/(4 pi), 0) is fixed at x = 1/(3 pi)
+    x = periodic_orbit(coefficient_table(5), 1).points[0].x
+    want = 1.0 / (3.0 * math.pi)
+    assert abs(x - want) <= np.spacing(want)
+
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+@pytest.mark.parametrize("n_max", [1, 3, 5, 8])
+def test_periodic_orbit_closes_to_float_resolution(kind, n_max):
+    spec = coefficient_table(n_max, bump_kind=kind)
+    for N in range(1, 11):
+        orbit = periodic_orbit(spec, N)
+        closing, _ = step(spec, orbit.points[-1])
+        p0 = orbit.points[0]
+        residual = max(
+            circle_dist(closing.theta, p0.theta), abs(closing.x - p0.x), abs(closing.y - p0.y)
+        )
+        assert residual <= 1e-16, (N, residual)
+
+
+def test_periodic_orbit_closure_failure_is_a_periodicity_error(spec, monkeypatch):
+    monkeypatch.setattr(solenoid, "_PERIODIC_TOL", 0.0)  # every residual is at or above it
+    with pytest.raises(PeriodicityError, match="period 3"):
+        periodic_orbit(spec, 3)
+
+
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_periodic_orbit_closure_and_exponent(spec, N):
     orbit = periodic_orbit(spec, N)
@@ -244,3 +272,28 @@ def test_one_thread_pool_in_package():
             if getattr(callee, "attr", getattr(callee, "id", None)) == "ThreadPoolExecutor":
                 makers.append((path.name, owner.get(node)))
     assert makers == [("solenoid.py", "_thread_map")]
+
+
+def test_one_orbit_closure_error_in_package():
+    # every raise guarded by a _PERIODIC_TOL comparison raises PeriodicityError,
+    # and solenoid.py defines no exception class, so no second closure error
+    # type can grow beside it
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    raised = []
+    for path in sorted(Path(solenoid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.If) and "_PERIODIC_TOL" in map(name, ast.walk(node.test)):
+                raised.extend(
+                    (path.name, name(getattr(sub.exc, "func", sub.exc)))
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Raise)
+                )
+            if path.name == "solenoid.py" and isinstance(node, ast.ClassDef):
+                bases = [str(name(base)) for base in node.bases]
+                assert not any(b.endswith(("Error", "Exception")) for b in bases), node.name
+    assert sorted(raised) == [
+        ("circle_map.py", "PeriodicityError"),
+        ("solenoid.py", "PeriodicityError"),
+    ]

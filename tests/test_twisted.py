@@ -386,6 +386,13 @@ def test_exp_sum_memory_and_extreme_eta(pert_eq):
     assert (report.terms, report.max_cross_bound) == (np.unique(tab.values).size, 0.0)
 
 
+def test_exp_sum_rejects_non_finite_eta():
+    tab = _table(np.ones(4))
+    for eta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            exp_sum([1.0, eta], [tab, tab])
+
+
 def test_table_scale_linear_and_ties(lin_eq):
     scale = table_scale(zeta_table(lin_eq, (0, 1, 1, 0, 1), 4))
     assert (scale.spread, scale.distinct, scale.largest_atom, scale.tie_floor) == (0.0, 1, 1.0, 1.0)
