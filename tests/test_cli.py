@@ -330,9 +330,6 @@ def test_operation_error_exit_code(tmp_path):
         ("deviations", {"deviation_epsilon": float("nan")}),
         ("fourier", {"freq_base": float("inf")}),
         ("twisted", {"twist_t": float("nan")}),
-        ("twisted", {"twist_t": 10**400}),
-        ("fourier", {"mu_cross_t": [10.0, 10**400]}),
-        ("expsum", {"eps0": 29.6}),
         ("fourier", {"mu_cross_t": [10.0, float("nan")]}),
         ("construct", {"bump_kind": "foo"}),
         ("deviations", {"deviation_levels": [0, 6]}),
@@ -345,6 +342,9 @@ def test_operation_error_exit_code(tmp_path):
         ("construct", [1, 2]),
         ("construct", "x"),
         ("construct", {"experiment": "construct", "config": [1, 2]}),
+        ("twisted", {"twist_t": 10**400}),
+        ("fourier", {"mu_cross_t": [10.0, 10**400]}),
+        ("expsum", {"eps0": 29.6}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
