@@ -136,10 +136,6 @@ class PerturbationSpec:
         if budget >= 1.0:
             raise ValueError(f"C^1 budget sum |alpha_N| 8^N sup|chi'| = {budget} >= 1")
 
-    @property
-    def is_linear(self) -> bool:
-        return self.n_max == 1
-
     def to_json(self) -> str:
         doc = {
             "n_max": self.n_max,
@@ -186,9 +182,9 @@ def coefficient_table(n_max: int, bump_kind: str = "exp") -> PerturbationSpec:
     return PerturbationSpec(n_max, tuple(betas), tuple(alphas), bump_kind)
 
 
-def linear_spec(bump_kind: str = "exp") -> PerturbationSpec:
+def linear_spec() -> PerturbationSpec:
     """The unperturbed doubling map (g identically zero)."""
-    return PerturbationSpec(1, (), (), bump_kind)
+    return PerturbationSpec(1, (), ())
 
 
 def lyapunov_target(spec: PerturbationSpec, N: int) -> float:
@@ -270,6 +266,18 @@ def f_eval(spec: PerturbationSpec, x):
 # solenoid.periodic_orbit: a residual at or above it raises.
 _PERIODIC_TOL = 1e-12
 
+# The longest period whose lattice point 1/(2^N - 1) is a double's periodic
+# point: from N = 53 on, the nearest double's orbit misses it (by less than
+# _PERIODIC_TOL, so no walk would notice) or, from 54 on, falls onto 0.
+_MAX_PERIOD = 52
+
+
+def _lattice_point(N: int) -> float:
+    """The lattice point 1/(2^N - 1) of period N, 0 at N = 1; ValueError past _MAX_PERIOD."""
+    if N > _MAX_PERIOD:
+        raise ValueError(f"N must be at most {_MAX_PERIOD}: 1/(2^N - 1) needs more than a double")
+    return 0.0 if N == 1 else 1.0 / (2.0**N - 1.0)
+
 
 def _periodic_walk(spec: PerturbationSpec, theta: float, N: int) -> tuple[float, float]:
     """N steps of f from theta mod 1: the sum of ln f' along them and the closure residual.
@@ -289,10 +297,10 @@ def _periodic_walk(spec: PerturbationSpec, theta: float, N: int) -> tuple[float,
 
 
 def periodic_theta(spec: PerturbationSpec, N: int) -> tuple[float, float]:
-    """Lattice periodic point 1/(2^N - 1) and its orbit-closure residual (see _periodic_walk)."""
+    """Lattice point 1/(2^N - 1), 2 <= N <= _MAX_PERIOD, and its residual (see _periodic_walk)."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    theta = 1.0 / (2.0**N - 1.0)
+    theta = _lattice_point(N)
     return theta, _periodic_walk(spec, theta, N)[1]
 
 

@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .circle_map import BUMP_KINDS, coefficient_table, lyapunov_target, verify_lattice
-from .fourier import _FIBER_RESOLUTION, _MIN_FREQUENCIES, _MIN_SAMPLES
+from .circle_map import _MAX_PERIOD, BUMP_KINDS, coefficient_table, lyapunov_target, verify_lattice
+from .fourier import _FIBER_RESOLUTION, _MAX_FREQUENCY, _MIN_FREQUENCIES, _MIN_SAMPLES
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from .solenoid import _worker_count, periodic_orbit
 from .symbolic import _MAX_LEVEL, cylinder_rows
@@ -95,7 +95,7 @@ _BOUNDS = {
     "eta_count": (2, math.inf),
     "zeta_n": (1, _MAX_BLOCK),
     "twist_steps": (1, _MAX_STEPS),
-    "orbit_periods": (1, math.inf),
+    "orbit_periods": (1, _MAX_PERIOD),
     "gibbs_levels": (1, _MAX_LEVEL),
     "deviation_levels": (1, _MAX_LEVEL),
 }
@@ -176,6 +176,9 @@ def _validate(config: dict) -> np.ndarray | None:
     for key in ("deviation_epsilon", "eps0", "freq_base", "sigma_lo"):
         if config[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    _frequencies(config)  # raises when the largest frequency reaches nu_hat's limit
+    if not all(abs(t) < _MAX_FREQUENCY for t in config["mu_cross_t"]):
+        raise ConfigError(f"every |mu_cross_t| entry must lie below {_MAX_FREQUENCY:.4g}")
     if config["bump_kind"] not in BUMP_KINDS:
         raise ConfigError(f"bump_kind must be one of {BUMP_KINDS}, got {config['bump_kind']!r}")
     ctx = config["zeta_context"]
@@ -218,6 +221,24 @@ def _etas(config: dict) -> np.ndarray:
     if not np.isfinite(top):
         raise ConfigError(f"the largest eta, e^(2 eps0 zeta_n) = e^{2 * eps0 * n:g}, overflows")
     return np.geomspace(np.exp(eps0 * n / 2.0), top, config["eta_count"])
+
+
+def _frequencies(config: dict) -> np.ndarray:
+    """fourier's schedule freq_base * 2^j, j < freq_count, each below nu_hat's limit.
+
+    ldexp gives the largest entry exactly, or raises, before the schedule is built.
+    """
+    base, count = config["freq_base"], config["freq_count"]
+    try:
+        top = math.ldexp(base, count - 1)
+    except OverflowError:
+        top = math.inf
+    if not top < _MAX_FREQUENCY:
+        raise ConfigError(
+            f"the largest frequency, freq_base * 2^(freq_count - 1) = {top:g}, "
+            f"must lie below {_MAX_FREQUENCY:.4g}"
+        )
+    return dyadic_frequencies(base, count)
 
 
 def _build_potential(config: dict, spec, custom: np.ndarray | None) -> GridFunction:
@@ -405,7 +426,7 @@ def _run_expsum(config: dict, out: Path, eq: EquilibriumData) -> None:
 
 
 def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
-    freqs = dyadic_frequencies(config["freq_base"], config["freq_count"])
+    freqs = _frequencies(config)
     series = [(float(t), abs(nu_hat(eq, t))) for t in freqs]
     fit = decay_exponent(series)
     _write_csv(

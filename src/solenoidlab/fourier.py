@@ -33,6 +33,10 @@ _MIN_SAMPLES = 1000
 _FIBER_RESOLUTION = 1e-9
 _MIN_FREQUENCIES = 8
 
+# nu_hat's closed form divides by (i t)^2, which overflows a double from
+# |t| = sqrt(largest double) ~ 1.34e154 on; nu_hat rejects t at or past it.
+_MAX_FREQUENCY = float(np.sqrt(np.finfo(float).max))
+
 
 def dyadic_frequencies(base: float = 100.0, count: int = 11) -> np.ndarray:
     """Default frequency schedule base * 2^j, j = 0..count-1."""
@@ -45,7 +49,10 @@ def nu_hat(eq: EquilibriumData, t: float) -> complex:
     The integral against the piecewise-linear density is evaluated in
     closed form per cell, so the only error is the density's own
     resolution; frequencies are trustworthy up to about 2 pi m / 8.
+    Raises ValueError unless |t| < _MAX_FREQUENCY.
     """
+    if not abs(t) < _MAX_FREQUENCY:  # also false for a NaN
+        raise ValueError(f"|t| must lie below {_MAX_FREQUENCY:.4g}, got {t!r}")
     m = eq.m
     rho = eq.density.values / eq.density.values.mean()
     if t == 0.0:
@@ -101,8 +108,7 @@ def mu_hat(
     if xi.size == 0:
         return []  # no frequencies: nothing to draw or push
 
-    origin = np.broadcast_to(0.0, samples)  # every sample starts on the central fiber
-    thetas, xs, ys = push_forward(eq.spec, sample(eq, samples, seed), origin, origin, depth)
+    thetas, xs, ys = push_forward(eq.spec, sample(eq, samples, seed), depth)
 
     results = []
     for row in np.atleast_2d(xi):

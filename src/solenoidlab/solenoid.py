@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle_map import _PERIODIC_TOL, PeriodicityError, PerturbationSpec, circle_dist, f_eval
+from .circle_map import _PERIODIC_TOL, PeriodicityError, PerturbationSpec, _lattice_point
+from .circle_map import circle_dist, f_eval
 
 __all__ = [
     "SolenoidPoint",
@@ -47,7 +48,6 @@ class SolenoidPoint(NamedTuple):
 class PeriodicOrbit:
     """points[i + 1] = F(points[i]), closing on points[0]; derivs[i] = f'(points[i].theta)."""
 
-    period: int
     points: tuple[SolenoidPoint, ...]
     derivs: tuple[float, ...]
     unstable_exponent: float
@@ -98,8 +98,8 @@ def _thread_map(fn, starts) -> None:
             list(pool.map(fn, starts))  # reading every result re-raises a task's error
 
 
-def push_forward(spec: PerturbationSpec, thetas, xs, ys, depth: int):
-    """F^depth on parallel 1-D coordinate arrays: the image (thetas, xs, ys).
+def push_forward(spec: PerturbationSpec, thetas, depth: int):
+    """F^depth of the points (theta, 0, 0), thetas a 1-D array: the image (thetas, xs, ys).
 
     The points are pushed in fixed chunks of _CHUNK, each chunk through all
     depth steps of step_many while it stays in cache.  The chunks are shared
@@ -110,14 +110,12 @@ def push_forward(spec: PerturbationSpec, thetas, xs, ys, depth: int):
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    thetas, xs, ys = (np.asarray(a, dtype=float) for a in (thetas, xs, ys))
-    if thetas.ndim != 1 or xs.shape != thetas.shape or ys.shape != thetas.shape:
-        raise ValueError("thetas, xs and ys must be 1-D arrays of one length")
+    thetas = np.asarray(thetas, dtype=float)
     out = tuple(np.empty(thetas.size) for _ in range(3))
 
     def push(start: int) -> None:
         chunk = slice(start, start + _CHUNK)
-        t, x, y = thetas[chunk], xs[chunk], ys[chunk]
+        t, x, y = thetas[chunk], 0.0, 0.0
         for _ in range(depth):
             t, x, y, _ = step_many(spec, t, x, y)
         for full, part in zip(out, (t, x, y)):
@@ -141,7 +139,7 @@ def jacobian(spec: PerturbationSpec, p: SolenoidPoint) -> np.ndarray:
 
 
 def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
-    """Periodic orbit of F over the angular point 0 (N = 1) or 1/(2^N - 1).
+    """Periodic orbit of F over the angular point 0 (N = 1) or 1/(2^N - 1), N <= 52.
 
     Over the periodic angular orbit F^N moves the fiber by the contraction
     v -> 4^-N v + c, where c is the fiber part of F^N(theta0, 0, 0), so the
@@ -152,7 +150,7 @@ def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    theta0 = 0.0 if N == 1 else 1.0 / (2.0**N - 1.0)
+    theta0 = _lattice_point(N)
 
     c = SolenoidPoint(theta0, 0.0, 0.0)
     for _ in range(N):
@@ -170,7 +168,7 @@ def periodic_orbit(spec: PerturbationSpec, N: int) -> PeriodicOrbit:
     if residual >= _PERIODIC_TOL:
         raise PeriodicityError(f"orbit of period {N} fails to close: residual {residual:.3e}")
     exponent = sum(np.log(d) for d in derivs) / N
-    return PeriodicOrbit(N, tuple(points), tuple(derivs), exponent)
+    return PeriodicOrbit(tuple(points), tuple(derivs), exponent)
 
 
 def bunching_margin(spec: PerturbationSpec, grid_size: int) -> float:

@@ -20,7 +20,6 @@ right endpoint 1 (the circle point 0) is a legal lift coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,18 +28,15 @@ from .circle_map import PerturbationSpec, f_eval, g_eval
 
 __all__ = [
     "Word",
-    "Cylinder",
     "BranchSolverError",
     "apply_word",
     "preimage_tree",
-    "cylinder",
     "level_endpoints",
     "endpoint_anchors",
     "anchor_birkhoff_sums",
     "tree_birkhoff_sums",
     "log_expansion_sums",
     "cylinder_rows",
-    "word_index",
     "index_word",
 ]
 
@@ -138,46 +134,12 @@ def preimage_tree(spec: PerturbationSpec, x, n: int):
     return y.reshape(shape), deriv.reshape(shape)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Interval of points whose first n symbols equal the word."""
-
-    word: Word
-    lo: float
-    hi: float
-    anchor: float
-
-
-def cylinder(spec: PerturbationSpec, w: Sequence[int]) -> Cylinder:
-    """Cylinder interval [g_w(0), g_w(1)] with its canonical periodic anchor.
-
-    The anchor is g_{w'}(x_s) where s is the last symbol and x_s the fixed
-    point of branch s (x_0 = 0, x_1 = 1); that lands on the cylinder
-    endpoint matching s.
-    """
-    word = _check_word(w)
-    if not word:
-        return Cylinder((), 0.0, 1.0, 0.0)
-    lo, hi = map(float, apply_word(spec, word, [0.0, 1.0])[0])
-    anchor = lo if word[-1] == 0 else hi
-    return Cylinder(word, lo, hi, anchor)
-
-
 # ---------------------------------------------------------------------------
 # level enumeration (vectorized over all 2^n words)
 # ---------------------------------------------------------------------------
 
-def word_index(w: Sequence[int]) -> int:
-    """Lexicographic index of a word: first symbol is the most significant bit."""
-    word = _check_word(w)
-    idx = 0
-    for s in word:
-        idx = (idx << 1) | s
-    return idx
-
-
 def index_word(idx: int, n: int) -> Word:
-    """Inverse of word_index at level n."""
+    """Word of length n at lexicographic index idx: the first symbol is the most significant bit."""
     return tuple((idx >> (n - 1 - k)) & 1 for k in range(n))
 
 

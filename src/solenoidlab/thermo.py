@@ -199,10 +199,6 @@ class EquilibriumData:
     def m(self) -> int:
         return self.density.m
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral of a grid function against nu (periodic trapezoid)."""
-        return float(np.mean(np.asarray(values) * self.density.values))
-
 
 _EIG_TOL = 1e-12
 _EIG_SWEEPS = 10_000
@@ -218,7 +214,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
     """
     m = psi.m
     mat = transfer_matrix(spec, psi)
-    mat_t = mat.T.tocsr()
+    mat_t = mat.T
     h = np.ones(m)
     rho = np.ones(m)
     lam_prev = np.inf
@@ -250,7 +246,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
     # iterate the transpose of the phi-matrix itself (leading eigenvalue 1 up
     # to interpolation error) starting from the product guess h * rho.
     phi = GridFunction(phi_vals)
-    mat_phi_t = transfer_matrix(spec, phi).T.tocsr()
+    mat_phi_t = transfer_matrix(spec, phi).T
     dens = h * rho
     dens /= dens.mean()
     for _ in range(_EIG_SWEEPS):

@@ -45,7 +45,7 @@ def test_table_n_max_1_is_empty():
     spec = coefficient_table(1)
     assert spec.betas == ()
     assert spec.alphas == ()
-    assert spec.is_linear
+    assert spec == linear_spec()
 
 
 def test_beta_2_exact_value(spec):
@@ -282,8 +282,8 @@ def test_f_and_g_match_remainder_reference(kind, n_max):
 def test_push_forward_matches_remainder_reference(spec):
     rng = np.random.default_rng(5)
     count = 2 * _CHUNK + 777
-    thetas, xs, ys = rng.random(count), rng.uniform(-0.2, 0.2, count), rng.uniform(-0.2, 0.2, count)
-    got = push_forward(spec, thetas, xs, ys, 20)
+    thetas, xs, ys = rng.random(count), np.zeros(count), np.zeros(count)
+    got = push_forward(spec, thetas, 20)
     for _ in range(20):
         ang = 2.0 * np.pi * thetas
         thetas, _ = _f_reference(spec, thetas)
@@ -322,6 +322,19 @@ def test_periodic_theta(spec, N):
     theta, residual = periodic_theta(spec, N)
     assert theta == 1.0 / (2.0**N - 1.0)
     assert residual < 1e-12
+
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+def test_longest_lattice_period_closes_and_the_next_is_rejected(kind):
+    # 1/(2^52 - 1) is the last lattice point a double holds as a periodic point;
+    # from 53 on the walk would miss by the point's own size, below the tolerance
+    spec = coefficient_table(5, kind)
+    theta, residual = periodic_theta(spec, 52)
+    assert theta == 1.0 / (2.0**52 - 1.0)
+    assert residual < 1e-30
+    for N in (53, 1024):
+        with pytest.raises(ValueError, match="at most 52"):
+            periodic_theta(spec, N)
 
 
 def test_lyapunov_linear_map():

@@ -120,7 +120,8 @@ def test_fourier_artifacts(tmp_path):
     assert len(summary["marginal_cross_check"]) == 3
 
 
-def _whole_array_push(spec, thetas, xs, ys, depth):
+def _whole_array_push(spec, thetas, depth):
+    xs = ys = np.zeros(len(thetas))
     for _ in range(depth):
         thetas, xs, ys, _ = solenoid.step_many(spec, thetas, xs, ys)
     return thetas, xs, ys
@@ -345,6 +346,8 @@ def test_operation_error_exit_code(tmp_path):
         ("twisted", {"twist_t": 10**400}),
         ("fourier", {"mu_cross_t": [10.0, 10**400]}),
         ("expsum", {"eps0": 29.6}),
+        ("fourier", {"grid_m": 1024, "mu_samples": 1000, "mu_cross_t": [10.0, 1e200]}),
+        ("fourier", {"grid_m": 1024, "mu_samples": 1000, "freq_count": 1030}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
@@ -362,6 +365,17 @@ def test_largest_finite_eta_window_runs(tmp_path):
     assert main(["expsum", "--eps0", "29.57", "--grid", "1024", "--out", str(out)]) == 0
     rows = [line.split(",") for line in (out / "expsum.csv").read_text().split()[1:]]
     assert len(rows) == 12 and np.isfinite(np.array(rows, dtype=float)).all()
+
+
+def test_largest_frequency_below_the_limit_runs(tmp_path):
+    # the schedule's top, 1.3e151 * 2^10 = 1.33e154, lies just below fourier._MAX_FREQUENCY
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid_m": 1024, "mu_samples": 1000, "freq_base": 1.3e151}))
+    out = tmp_path / "out"
+    assert main(["fourier", "--out", str(out), "--config", str(config)]) == 0
+    rows = [line.split(",") for line in (out / "decay.csv").read_text().split()[1:]]
+    assert float(rows[-1][0]) == 1.3e151 * 2.0**10
+    assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +401,7 @@ _LIMITS = {
     ),
     "zeta_n": (lambda eq, n: twisted.zeta_table(eq, [int(c) for c in _context(n)], n), 14, [15]),
     "twist_steps": (lambda eq, n: twisted.twisted_norm_profile(eq, 100.0, n), 200, [201]),
+    "orbit_periods": (lambda eq, n: solenoid.periodic_orbit(eq.spec, n), 52, [53, 1024]),
 }
 
 
@@ -396,6 +411,8 @@ def test_cli_limits_match_the_library(small_eq, key, monkeypatch):
 
     def config(value):
         extra = {"zeta_context": _context(value)} if key == "zeta_n" else {}
+        if isinstance(cli.DEFAULTS[key], list):
+            value = [value]
         return _fast_config(**{key: value}, **extra)
 
     cli._validate(config(boundary))

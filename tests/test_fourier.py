@@ -50,6 +50,14 @@ def test_nu_hat_grid_agreement(pert_eq):
         assert abs(nu_hat(mid, t) - nu_hat(fine, t)) < 1e-8
 
 
+def test_nu_hat_rejects_frequencies_whose_square_overflows(pert_eq):
+    # the closed form divides by (i t)^2, finite up to t = sqrt(largest double) ~ 1.3408e154
+    assert abs(nu_hat(pert_eq, 1.34e154)) <= 1.0 + 1e-10
+    for t in (1.35e154, -1.35e154, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            nu_hat(pert_eq, t)
+
+
 def test_mu_hat_at_zero(pert_eq):
     val, err = mu_hat(pert_eq, (0.0, 0.0, 0.0), samples=2_000, seed=1)
     assert val == 1.0 + 0.0j

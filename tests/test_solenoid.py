@@ -131,7 +131,7 @@ def test_injectivity_on_sample(spec):
 
 def test_periodic_orbit_fixed_point(spec):
     orbit = periodic_orbit(spec, 1)
-    assert orbit.period == 1
+    assert len(orbit.points) == 1
     p = orbit.points[0]
     assert p.theta == 0.0
     assert p.x == pytest.approx(1.0 / (3.0 * math.pi), abs=1e-13)
@@ -158,6 +158,20 @@ def test_periodic_orbit_closes_to_float_resolution(kind, n_max):
             circle_dist(closing.theta, p0.theta), abs(closing.x - p0.x), abs(closing.y - p0.y)
         )
         assert residual <= 1e-16, (N, residual)
+
+
+def test_longest_lattice_orbit_closes_and_the_next_is_rejected(spec):
+    orbit = periodic_orbit(spec, 52)
+    assert len(orbit.points) == 52 and orbit.points[0].theta == 1.0 / (2.0**52 - 1.0)
+    closing, _ = step(spec, orbit.points[-1])
+    p0 = orbit.points[0]
+    residual = max(
+        circle_dist(closing.theta, p0.theta), abs(closing.x - p0.x), abs(closing.y - p0.y)
+    )
+    assert residual <= 1e-16
+    for N in (53, 1024):
+        with pytest.raises(ValueError, match="at most 52"):
+            periodic_orbit(spec, N)
 
 
 def test_periodic_orbit_closure_failure_is_a_periodicity_error(spec, monkeypatch):
@@ -195,10 +209,16 @@ def test_bunching_margin_perturbed(spec):
     assert margin < 1.0
 
 
+def _walk(spec, thetas, xs, ys, depth):
+    """F^depth by a step_many loop on parallel coordinate arrays."""
+    for _ in range(depth):
+        thetas, xs, ys, _ = step_many(spec, thetas, xs, ys)
+    return thetas, xs, ys
+
+
 def test_push_forward_identity_and_contraction(spec):
-    p = ([0.42], [0.3], [-0.1])
-    assert [list(c) for c in push_forward(spec, *p, 0)] == list(p)
-    (ta, tb), (xa, xb), (ya, yb) = push_forward(spec, [0.42, 0.42], [0.9, -0.3], [0.0, -0.8], 20)
+    assert [list(c) for c in push_forward(spec, [0.42], 0)] == [[0.42], [0.0], [0.0]]
+    (ta, tb), (xa, xb), (ya, yb) = _walk(spec, [0.42, 0.42], [0.9, -0.3], [0.0, -0.8], 20)
     assert ta == tb  # same angular history
     assert abs(xa - xb) < 2 * 4.0**-20
     assert abs(ya - yb) < 2 * 4.0**-20
@@ -209,11 +229,9 @@ def test_push_forward_matches_serial_steps(spec, monkeypatch, workers):
     monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
     rng = np.random.default_rng(29)
     n = 2 * solenoid._CHUNK + 777  # two full chunks and a partial one
-    start = (rng.random(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
-    want = start
-    for _ in range(20):
-        want = step_many(spec, *want)[:3]
-    got = push_forward(spec, *start, 20)
+    thetas = rng.random(n)
+    want = _walk(spec, thetas, np.zeros(n), np.zeros(n), 20)
+    got = push_forward(spec, thetas, 20)
     for coord, g, w in zip("txy", got, want):
         assert np.array_equal(g, w), coord
 
@@ -252,7 +270,7 @@ def _bits(x):
 
 
 def test_push_forward_deep_resolves_fiber(spec):
-    _, (xa, xb), (ya, yb) = push_forward(spec, [0.1, 0.1], [1.0, -1.0], [0.0, 0.0], 40)
+    _, (xa, xb), (ya, yb) = _walk(spec, [0.1, 0.1], [1.0, -1.0], [0.0, 0.0], 40)
     assert abs(xa - xb) <= np.finfo(float).eps
     assert abs(ya - yb) <= np.finfo(float).eps
 

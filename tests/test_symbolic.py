@@ -21,14 +21,12 @@ from solenoidlab.symbolic import (
     BranchSolverError,
     anchor_birkhoff_sums,
     apply_word,
-    cylinder,
     endpoint_anchors,
     index_word,
     level_endpoints,
     log_expansion_sums,
     preimage_tree,
     tree_birkhoff_sums,
-    word_index,
 )
 
 
@@ -73,9 +71,7 @@ def test_inverse_branch_rejects_nan_and_out_of_range(spec):
     with pytest.raises(ValueError):
         apply_word(spec, (1.9,), 0.3)
     with pytest.raises(ValueError):
-        cylinder(spec, (0.7, 1))
-    with pytest.raises(ValueError):
-        word_index((1.5, 0))
+        apply_word(spec, (0.7, 1), [0.0, 1.0])
 
 
 def test_apply_word_nan_fails_residual_contract(spec):
@@ -206,11 +202,23 @@ def test_preimage_tree_shapes_and_checks(spec):
         preimage_tree(spec, 0.5, -1)
 
 
+def _cylinder(spec, word):
+    """[lo, hi] = g_w([0, 1]) of a non-empty word."""
+    lo, hi = apply_word(spec, word, [0.0, 1.0])[0]
+    return lo, hi
+
+
+def _index(word):
+    """Lexicographic index of a word: the first symbol is the most significant bit."""
+    return int("".join(map(str, word)), 2)
+
+
 def test_cylinder_linear_01():
-    cyl = cylinder(linear_spec(), (0, 1))
-    assert cyl.lo == pytest.approx(0.25, abs=1e-15)
-    assert cyl.hi == pytest.approx(0.5, abs=1e-15)
-    assert cyl.anchor == pytest.approx(cyl.hi, abs=1e-15)
+    pts = level_endpoints(linear_spec(), 2)
+    lo, hi, anchor = pts[1], pts[2], endpoint_anchors(pts)[1]
+    assert lo == pytest.approx(0.25, abs=1e-15)
+    assert hi == pytest.approx(0.5, abs=1e-15)
+    assert anchor == pytest.approx(hi, abs=1e-15)
 
 
 def test_cylinder_length_bound(spec):
@@ -221,9 +229,10 @@ def test_cylinder_length_bound(spec):
     kappa = 1.0 / fp.min()
     for _ in range(25):
         word = tuple(rng.integers(0, 2, size=rng.integers(1, 13)))
-        cyl = cylinder(spec, word)
-        assert cyl.hi - cyl.lo <= kappa ** len(word) * (1 + 1e-12)
-        assert cyl.lo <= cyl.anchor <= cyl.hi
+        lo, hi = _cylinder(spec, word)
+        anchor = endpoint_anchors(level_endpoints(spec, len(word)))[_index(word)]
+        assert hi - lo <= kappa ** len(word) * (1 + 1e-12)
+        assert lo <= anchor <= hi
 
 
 @pytest.mark.parametrize("n", [1, 4, 8, 12, 16])
@@ -241,12 +250,12 @@ def test_refinement(spec):
     for _ in range(20):
         word = tuple(rng.integers(0, 2, size=rng.integers(1, 10)))
         a = int(rng.integers(0, 2))
-        child = cylinder(spec, (a,) + word)
-        parent = cylinder(spec, word)
-        lo, _ = apply_word(spec, (a,), parent.lo)
-        hi, _ = apply_word(spec, (a,), parent.hi)
-        assert child.lo == pytest.approx(lo, abs=1e-12)
-        assert child.hi == pytest.approx(hi, abs=1e-12)
+        child = _cylinder(spec, (a,) + word)
+        parent = _cylinder(spec, word)
+        lo, _ = apply_word(spec, (a,), parent[0])
+        hi, _ = apply_word(spec, (a,), parent[1])
+        assert child[0] == pytest.approx(lo, abs=1e-12)
+        assert child[1] == pytest.approx(hi, abs=1e-12)
 
 
 def test_expansion(spec):
@@ -255,9 +264,7 @@ def test_expansion(spec):
     rng = np.random.default_rng(14)
     for _ in range(20):
         word = tuple(rng.integers(0, 2, size=rng.integers(2, 10)))
-        cyl = cylinder(spec, word)
-        shifted = cylinder(spec, word[1:])
-        for x, target in ((cyl.lo, shifted.lo), (cyl.hi, shifted.hi)):
+        for x, target in zip(_cylinder(spec, word), _cylinder(spec, word[1:])):
             lift = 2.0 * x + g_eval(spec, x)[0]
             assert lift - word[0] == pytest.approx(target, abs=1e-12)
 
@@ -267,9 +274,9 @@ def test_level_anchor_consistency(spec):
     anchors = endpoint_anchors(level_endpoints(spec, n))
     for idx in (0, 5, 21, 63):
         word = index_word(idx, n)
-        cyl = cylinder(spec, word)
-        assert anchors[idx] == pytest.approx(cyl.anchor, abs=1e-13)
-        assert word_index(word) == idx
+        # a word anchors at the fixed point of its last symbol's branch, pulled back by g_w
+        anchor, _ = apply_word(spec, word, float(word[-1]))
+        assert anchors[idx] == pytest.approx(anchor, abs=1e-13)
 
 
 def test_anchor_birkhoff_matches_direct_iteration(spec):
@@ -341,7 +348,7 @@ def test_property_inverse_branch_inverts_f(kind, a, x):
 @given(kind=st.sampled_from(BUMP_KINDS), word=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
 def test_property_tree_anchor_is_cylinder_anchor(kind, word):
     anchors = _tree_anchors(kind, len(word))
-    assert anchors[word_index(word)] == cylinder(_SPECS[kind], word).anchor
+    assert anchors[_index(word)] == _cylinder(_SPECS[kind], word)[word[-1]]
 
 
 @_PROPERTY
@@ -360,11 +367,11 @@ def test_property_tree_rows_are_composed_words(kind, n, x):
 def test_property_cylinder_children_tile_the_parent_exactly(kind, word):
     # g_0(0) = 0.0, g_1(1) = 1.0 and g_0(1) = g_1(0) bit for bit, so the
     # children of w share its endpoints and their common one exactly
-    parent = cylinder(_SPECS[kind], word)
-    left, right = (cylinder(_SPECS[kind], word + [a]) for a in (0, 1))
-    assert left.lo == parent.lo and right.hi == parent.hi
-    assert left.hi == right.lo
-    assert parent.lo < left.hi < parent.hi
+    parent = _cylinder(_SPECS[kind], word)
+    left, right = (_cylinder(_SPECS[kind], word + [a]) for a in (0, 1))
+    assert left[0] == parent[0] and right[1] == parent[1]
+    assert left[1] == right[0]
+    assert parent[0] < left[1] < parent[1]
 
 
 @_PROPERTY

@@ -149,14 +149,6 @@ def test_solve_reports_nonconvergence(spec, monkeypatch):
         solve_equilibrium(spec, mme_potential(M))
 
 
-def test_integrate_against_measure(pert_eq):
-    from solenoidlab.circle_map import f_eval as fe
-
-    _, fp = fe(pert_eq.spec, np.arange(pert_eq.m) / pert_eq.m)
-    assert pert_eq.integrate(np.log(fp)) == pytest.approx(pert_eq.lyapunov, abs=1e-14)
-    assert pert_eq.integrate(np.ones(pert_eq.m)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_linear_mme_equilibrium(lin_eq):
     assert lin_eq.pressure == pytest.approx(LN2, abs=1e-10)
     assert np.allclose(lin_eq.eigenfunction.values, 1.0, atol=1e-8)
