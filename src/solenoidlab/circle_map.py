@@ -117,8 +117,7 @@ class PerturbationSpec:
     bump_kind: str = "exp"
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        _check_order(self.n_max)
         if self.bump_kind not in _STEPS:
             raise ValueError(f"unknown bump kind {self.bump_kind!r}")
         if len(self.betas) != max(self.n_max - 1, 0) or len(self.alphas) != len(self.betas):
@@ -158,15 +157,25 @@ class PerturbationSpec:
         return cls(doc["n_max"], betas, alphas, doc["bump_kind"])
 
 
+# The highest truncation order: |alpha_N| <= N 10^(1-N^2) leaves alpha_18 =
+# -1e-323 the last nonzero double, and from N = 19 on alpha_N rounds to -0.0,
+# so a longer table adds only terms that g_eval still pays for.
+_MAX_ORDER = 18
+
+
+def _check_order(n_max: int) -> None:
+    if not 1 <= n_max <= _MAX_ORDER:
+        raise ValueError(f"n_max must be in 1..{_MAX_ORDER}, got {n_max!r}")
+
+
 def coefficient_table(n_max: int, bump_kind: str = "exp") -> PerturbationSpec:
-    """Build the coefficient family for orders N = 2..n_max.
+    """Build the coefficient family for orders N = 2..n_max, n_max <= _MAX_ORDER.
 
     beta_N = floor(10^(N^2) lnln2) / 10^(N^2) held exactly; alpha_N =
     2 (2^-N exp(N e^{beta_N}) - 1) evaluated with at least 50 significant
     digits before rounding.  n_max = 1 returns the empty table (linear map).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_order(n_max)
     betas: list[Fraction] = []
     alphas: list[float] = []
     with mpmath.workdps(max(60, n_max * n_max + 25)):

@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .circle_map import _MAX_PERIOD, BUMP_KINDS, coefficient_table, lyapunov_target, verify_lattice
+from .circle_map import _MAX_ORDER, _MAX_PERIOD, BUMP_KINDS, coefficient_table, lyapunov_target
+from .circle_map import verify_lattice
 from .fourier import _FIBER_RESOLUTION, _MAX_FREQUENCY, _MIN_FREQUENCIES, _MIN_SAMPLES
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from .solenoid import _worker_count, periodic_orbit
@@ -85,7 +86,7 @@ DEFAULTS = {
 # mu_depth is the least depth with 4^-depth <= fourier._FIBER_RESOLUTION.
 _BOUNDS = {
     "seed": (0, math.inf),
-    "n_max": (1, math.inf),
+    "n_max": (1, _MAX_ORDER),
     "lattice_k_max": (2, math.inf),
     "expsum_k": (1, math.inf),
     "mu_samples": (_MIN_SAMPLES, math.inf),

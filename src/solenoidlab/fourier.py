@@ -4,7 +4,9 @@ The circle-factor transform nu_hat(t) is integrated in closed form per cell
 against the piecewise-linear equilibrium density (trustworthy while the grid
 resolves the frequency); the solenoid transform mu_hat(xi) is Monte Carlo
 over samples pushed onto the attractor, since the invariant measure there
-has no density.  Power-law exponents come from a log-log least-squares fit.
+has no density.  The fibers are pushed only when some frequency has a
+nonzero fiber component; at xi = (t, 0, 0) only the angles move.
+Power-law exponents come from a log-log least-squares fit.
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ def mu_hat(
     pair, or a (k, 3) array, giving a list of k pairs.  The samples are
     drawn and pushed once per call and every frequency is reduced from the
     same points, one at a time: a batch row equals the single-vector call
-    bit for bit, and identical seeds give bit-identical output.  The push
+    bit for bit, and identical seeds give bit-identical output.  The fiber
+    is pushed only when some row of xi has a nonzero fiber component;
+    otherwise the push is f^depth of the angles alone.  That changes no bit:
+    a zero fiber component adds only +-0.0 to a nonzero phase.  The push
     runs in fixed chunks on as many threads as os.sched_getaffinity allows
     (solenoid.push_forward); the draw and the reductions run on the whole
     arrays, so the output does not depend on the thread count.
@@ -108,16 +113,22 @@ def mu_hat(
     if xi.size == 0:
         return []  # no frequencies: nothing to draw or push
 
-    thetas, xs, ys = push_forward(eq.spec, sample(eq, samples, seed), depth)
+    rows = np.atleast_2d(xi)
+    fiber = bool(rows[:, 1:].any())
+    thetas, xs, ys = push_forward(eq.spec, sample(eq, samples, seed), depth, fiber=fiber)
 
     results = []
-    for row in np.atleast_2d(xi):
-        vals = 1j * (row[0] * thetas + row[1] * xs + row[2] * ys)
+    for row in rows:
+        phase = row[0] * thetas
+        if fiber:
+            phase += row[1] * xs
+            phase += row[2] * ys
+        vals = 1j * phase
         np.exp(vals, out=vals)  # in place: one complex array per frequency
         value = complex(vals.mean())
         var = vals.real.var() + vals.imag.var()
         results.append((value, float(np.sqrt(var / samples))))
-        del vals  # keep one frequency's temporaries alive at a time
+        del phase, vals  # keep one frequency's temporaries alive at a time
     return results[0] if xi.ndim == 1 else results
 
 

@@ -98,7 +98,7 @@ def _thread_map(fn, starts) -> None:
             list(pool.map(fn, starts))  # reading every result re-raises a task's error
 
 
-def push_forward(spec: PerturbationSpec, thetas, depth: int):
+def push_forward(spec: PerturbationSpec, thetas, depth: int, fiber: bool = True):
     """F^depth of the points (theta, 0, 0), thetas a 1-D array: the image (thetas, xs, ys).
 
     The points are pushed in fixed chunks of _CHUNK, each chunk through all
@@ -106,23 +106,28 @@ def push_forward(spec: PerturbationSpec, thetas, depth: int):
     out by _thread_map.  Every point sees the same operations whatever its
     chunk or thread, so the output does not depend on the thread count.
     From the solid torus, the fiber distance to the attractor afterwards is
-    at most 2 * 4^-depth.
+    at most 2 * 4^-depth.  With fiber false only the angles are pushed, by
+    f_eval alone, and xs and ys are None: the angular image is the same
+    bit for bit, since F's angular part never reads the fiber.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     thetas = np.asarray(thetas, dtype=float)
-    out = tuple(np.empty(thetas.size) for _ in range(3))
+    out = tuple(np.empty(thetas.size) for _ in range(3 if fiber else 1))
 
     def push(start: int) -> None:
         chunk = slice(start, start + _CHUNK)
         t, x, y = thetas[chunk], 0.0, 0.0
         for _ in range(depth):
-            t, x, y, _ = step_many(spec, t, x, y)
-        for full, part in zip(out, (t, x, y)):
+            if fiber:
+                t, x, y, _ = step_many(spec, t, x, y)
+            else:
+                t, _ = f_eval(spec, t)
+        for full, part in zip(out, (t, x, y)):  # without the fiber, out holds t alone
             full[chunk] = part
 
     _thread_map(push, range(0, thetas.size, _CHUNK))
-    return out
+    return out if fiber else (out[0], None, None)
 
 
 def jacobian(spec: PerturbationSpec, p: SolenoidPoint) -> np.ndarray:

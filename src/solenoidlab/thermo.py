@@ -454,7 +454,15 @@ def regular_words(
 # ---------------------------------------------------------------------------
 
 def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
-    """count i.i.d. draws from nu by inverting the piecewise-quadratic CDF."""
+    """count i.i.d. draws from nu by inverting the piecewise-quadratic CDF.
+
+    Each draw's cell is the last node j with cdf[j] <= u, the one
+    searchsorted(cdf, u, "right") - 1 finds, read from a guide table instead
+    of a binary search per draw.  key(x) = floor(x m / total) is monotone in
+    x, so the last node whose key is below key(u) (node 0 if none is) lies
+    below u; each draw starts there and steps forward while the next node is
+    still <= u.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -462,7 +470,15 @@ def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
     u = rng.random(count) * total
     rho = eq.density.values
     m = eq.m
-    j = np.searchsorted(cdf, u, side="right") - 1
+    scale = m / total
+    keys = (cdf * scale).astype(np.intp)
+    guide = np.maximum(np.searchsorted(keys, np.arange(keys[-1] + 1)) - 1, 0)
+    upper = np.append(cdf[1:], np.inf)  # upper[j] = cdf[j + 1]; none past the last node
+    j = guide[(u * scale).astype(np.intp)]
+    ahead = np.flatnonzero(upper[j] <= u)
+    while ahead.size:  # in place, on the draws still short of their cell
+        j[ahead] += 1
+        ahead = ahead[upper[j[ahead]] <= u[ahead]]
     j = np.clip(j, 0, m - 1)
     local = (u - cdf[j]) * m  # mass to absorb inside cell j, times m
     a = rho[j]

@@ -16,6 +16,7 @@ from solenoidlab.circle_map import (
     LatticeReport,
     PerturbationSpec,
     PeriodicityError,
+    _MAX_ORDER,
     _mod1,
     bump_chi,
     circle_dist,
@@ -46,6 +47,17 @@ def test_table_n_max_1_is_empty():
     assert spec.betas == ()
     assert spec.alphas == ()
     assert spec == linear_spec()
+
+
+def test_table_order_stops_at_the_last_nonzero_alpha():
+    # alpha_18 = -1e-323 is the last nonzero double, and the bound on |alpha_19|
+    # underflows; order 19 is rejected, built or read back from a document
+    assert coefficient_table(_MAX_ORDER).alphas[-1] == -1e-323
+    n = _MAX_ORDER + 1
+    assert n * 10.0 ** (1 - n * n) == 0.0
+    for make in (lambda: coefficient_table(n), lambda: PerturbationSpec(n, (), ())):
+        with pytest.raises(ValueError, match=f"1..{_MAX_ORDER}"):
+            make()
 
 
 def test_beta_2_exact_value(spec):

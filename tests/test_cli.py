@@ -120,7 +120,9 @@ def test_fourier_artifacts(tmp_path):
     assert len(summary["marginal_cross_check"]) == 3
 
 
-def _whole_array_push(spec, thetas, depth):
+def _whole_array_push(spec, thetas, depth, fiber):
+    # pushes the fiber whatever fiber says, so the runs below check the
+    # angle-only push against the full one
     xs = ys = np.zeros(len(thetas))
     for _ in range(depth):
         thetas, xs, ys, _ = solenoid.step_many(spec, thetas, xs, ys)
@@ -348,6 +350,7 @@ def test_operation_error_exit_code(tmp_path):
         ("expsum", {"eps0": 29.6}),
         ("fourier", {"grid_m": 1024, "mu_samples": 1000, "mu_cross_t": [10.0, 1e200]}),
         ("fourier", {"grid_m": 1024, "mu_samples": 1000, "freq_count": 1030}),
+        ("construct", {"n_max": 19}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):
@@ -402,6 +405,7 @@ _LIMITS = {
     "zeta_n": (lambda eq, n: twisted.zeta_table(eq, [int(c) for c in _context(n)], n), 14, [15]),
     "twist_steps": (lambda eq, n: twisted.twisted_norm_profile(eq, 100.0, n), 200, [201]),
     "orbit_periods": (lambda eq, n: solenoid.periodic_orbit(eq.spec, n), 52, [53, 1024]),
+    "n_max": (lambda eq, n: coefficient_table(n), 18, [19]),
 }
 
 

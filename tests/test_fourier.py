@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from solenoidlab import solenoid
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from solenoidlab.thermo import mme_potential, solve_equilibrium
@@ -101,6 +102,18 @@ def test_mu_hat_batch_matches_single_calls(pert_eq):
     assert batch == singles  # bit for bit, value and stderr
     assert mu_hat(pert_eq, xis[:1], samples=5_000, seed=21) == singles[:1]
     assert mu_hat(pert_eq, np.zeros((0, 3)), samples=5_000) == []
+
+
+def test_mu_hat_pushes_the_fiber_only_when_a_frequency_reads_it(pert_eq, monkeypatch):
+    def fiber_step(*args):
+        raise AssertionError("the fiber was pushed")
+
+    monkeypatch.setattr(solenoid, "step_many", fiber_step)
+    mu_hat(pert_eq, (10.0, 0.0, 0.0), samples=2_000)
+    mu_hat(pert_eq, [(10.0, 0.0, 0.0), (-3.0, -0.0, 0.0)], samples=2_000)
+    for xi in [(10.0, 0.0, 1.0), [(10.0, 0.0, 0.0), (0.0, 2.0, 0.0)]]:
+        with pytest.raises(AssertionError, match="fiber"):
+            mu_hat(pert_eq, xi, samples=2_000)
 
 
 def test_mu_hat_rejects_malformed_xi(pert_eq):

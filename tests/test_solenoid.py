@@ -236,6 +236,16 @@ def test_push_forward_matches_serial_steps(spec, monkeypatch, workers):
         assert np.array_equal(g, w), coord
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_push_forward_angles_alone_match_the_full_push(spec, monkeypatch, workers):
+    monkeypatch.setattr(solenoid, "_worker_count", lambda: workers)
+    thetas = np.random.default_rng(31).random(2 * solenoid._CHUNK + 777)
+    full, _, _ = push_forward(spec, thetas, 20)
+    angles, xs, ys = push_forward(spec, thetas, 20, fiber=False)
+    assert xs is None and ys is None
+    assert np.array_equal(angles.view(np.int64), full.view(np.int64))
+
+
 def test_periodic_orbit_rows(spec):
     orbit = periodic_orbit(spec, 6)
     assert len(orbit.points) == len(orbit.derivs) == 6

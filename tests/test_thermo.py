@@ -1,5 +1,6 @@
 """Equilibrium solves, Gibbs estimates, regularity, deviations, sampling."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -494,7 +495,67 @@ def _sampling_eq(kind):
     spec = coefficient_table(5)
     if kind == "sin":  # an O(1) potential: the density has a slope in every cell
         return solve_equilibrium(spec, GridFunction(0.5 * np.sin(2 * np.pi * nodes(M))))
-    return solve_equilibrium(spec, mme_potential(1 << 14))  # many nearly flat cells
+    if kind == "srb":
+        return solve_equilibrium(spec, srb_potential(spec, 1 << 14))
+    eq = solve_equilibrium(spec, mme_potential(1 << 14))  # many nearly flat cells
+    if kind == "flat":  # a stretch of 4,000 cells whose mass the node CDF cannot resolve
+        rho = eq.density.values.copy()
+        rho[6000:10000] = 1e-20
+        return dataclasses.replace(eq, density=GridFunction(rho))
+    return eq
+
+
+class _Fractions:
+    """Stands in for sample's generator: random() returns the given fractions r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self, count):
+        assert count == self.r.size
+        return self.r
+
+
+def _sample_bits(eq, r):
+    """sample's draws from the fractions r, as raw bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: _Fractions(r))
+        return sample(eq, r.size, 0).view(np.int64)
+
+
+def _binary_search_bits(eq, r):
+    """The draws with each cell found by binary search, searchsorted(cdf, u, "right") - 1."""
+    cdf, total = thermo._node_cdf(eq)
+    u = r * total
+    rho, m = eq.density.values, eq.m
+    j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, m - 1)
+    local = (u - cdf[j]) * m
+    a, b = rho[j], rho[(j + 1) % m] - rho[j]
+    t = np.clip(2.0 * local / (a + np.sqrt(np.maximum(a * a + 2.0 * b * local, 0.0))), 0.0, 1.0)
+    return ((j + t) / m).view(np.int64)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(kind=st.sampled_from(("mme", "srb", "sin", "flat")), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, 50_000))
+def test_property_sample_cells_match_binary_search(kind, seed, count):
+    eq = _sampling_eq(kind)
+    r = np.random.default_rng(seed).random(count)  # the fractions sample draws
+    assert np.array_equal(sample(eq, count, seed).view(np.int64), _binary_search_bits(eq, r))
+
+
+@pytest.mark.parametrize("kind", ["mme", "srb", "sin", "flat"])
+def test_sample_cells_match_binary_search_at_the_edges(kind):
+    # fractions at and one double either side of each node's cdf / total and
+    # each guide-table key's k / m, including 0 and 1 (u = total), which no
+    # generator draws: ties in the flat stretch and u = total must resolve to
+    # the cells binary search finds
+    eq = _sampling_eq(kind)
+    cdf, total = thermo._node_cdf(eq)
+    r = np.concatenate([cdf / total, np.arange(eq.m + 1) / eq.m])
+    r = np.clip(np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]), 0.0, 1.0)
+    assert r.max() * total == total
+    assert np.array_equal(_sample_bits(eq, r), _binary_search_bits(eq, r))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=50)
