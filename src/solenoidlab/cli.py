@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .circle_map import _MAX_ORDER, _MAX_PERIOD, BUMP_KINDS, coefficient_table, lyapunov_target
 from .circle_map import verify_lattice
-from .fourier import _FIBER_RESOLUTION, _MAX_FREQUENCY, _MIN_FREQUENCIES, _MIN_SAMPLES
+from .fourier import _MAX_FREQUENCY, _MIN_FREQUENCIES, _MIN_SAMPLES
 from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
-from .solenoid import _worker_count, periodic_orbit
+from .solenoid import periodic_orbit
 from .symbolic import _MAX_LEVEL, cylinder_rows
 from .thermo import (
     _MIN_GRID,
@@ -75,22 +75,19 @@ DEFAULTS = {
     "freq_base": 100.0,
     "freq_count": 11,
     "mu_samples": 1_000_000,
-    "mu_depth": 20,
     "mu_cross_t": [10.0, 100.0, 1000.0],
 }
 
 
 # Inclusive (low, high) bounds on each integer value and on each entry of an
 # integer list.  A fitted slope needs two sigmas or etas; every other limit is
-# the one its library function enforces, read from that function's module:
-# mu_depth is the least depth with 4^-depth <= fourier._FIBER_RESOLUTION.
+# the one its library function enforces, read from that function's module.
 _BOUNDS = {
     "seed": (0, math.inf),
     "n_max": (1, _MAX_ORDER),
     "lattice_k_max": (2, math.inf),
     "expsum_k": (1, math.inf),
     "mu_samples": (_MIN_SAMPLES, math.inf),
-    "mu_depth": (math.ceil(-math.log(_FIBER_RESOLUTION, 4)), math.inf),
     "freq_count": (_MIN_FREQUENCIES, math.inf),
     "sigma_count": (2, math.inf),
     "eta_count": (2, math.inf),
@@ -438,9 +435,7 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
     cross_t = [float(t) for t in config["mu_cross_t"]]
     xis = np.zeros((len(cross_t), 3))
     xis[:, 0] = cross_t
-    estimates = mu_hat(
-        eq, xis, samples=config["mu_samples"], depth=config["mu_depth"], seed=config["seed"]
-    )
+    estimates = mu_hat(eq, xis, samples=config["mu_samples"], seed=config["seed"])
     cross = []
     for t, (value, err) in zip(cross_t, estimates):
         ref = nu_hat(eq, t)
@@ -518,7 +513,6 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {  # in dependency order, the order of
     )),
     "fourier": Experiment(_run_fourier, True, (
         ("--samples", "mu_samples", "Monte-Carlo sample count"),
-        ("--depth", "mu_depth", "attractor iteration depth"),
         ("--seed", "seed", "Monte-Carlo seed"),
     )),
 }
@@ -564,7 +558,6 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
             "config": config,
             "version": __version__,
             "wall_clock_seconds": time.time() - started,
-            "threads": _worker_count(),
         },
     )
 

@@ -2,10 +2,11 @@
 
 The circle-factor transform nu_hat(t) is integrated in closed form per cell
 against the piecewise-linear equilibrium density (trustworthy while the grid
-resolves the frequency); the solenoid transform mu_hat(xi) is Monte Carlo
-over samples pushed onto the attractor, since the invariant measure there
-has no density.  The fibers are pushed only when some frequency has a
-nonzero fiber component; at xi = (t, 0, 0) only the angles move.
+resolves the frequency); the solenoid transform mu_hat(xi) is Monte Carlo,
+since the invariant measure on the attractor has no density.  mu projects
+onto nu along the stable fibers, so a frequency with no fiber component
+reads the angular draws from nu as they are; only the others read samples
+pushed onto the attractor.
 Power-law exponents come from a log-log least-squares fit.
 """
 
@@ -28,9 +29,9 @@ __all__ = [
 ]
 
 
-# mu_hat averages at least this many samples, pushed until the fibers lie
-# within 4^-depth <= _FIBER_RESOLUTION of the attractor; decay_exponent fits
-# at least _MIN_FREQUENCIES frequencies.
+# mu_hat averages at least this many samples and pushes those a fiber
+# frequency reads until they lie within 4^-depth <= _FIBER_RESOLUTION of the
+# attractor; decay_exponent fits at least _MIN_FREQUENCIES frequencies.
 _MIN_SAMPLES = 1000
 _FIBER_RESOLUTION = 1e-9
 _MIN_FREQUENCIES = 8
@@ -82,20 +83,17 @@ def mu_hat(
 ) -> tuple[complex, float] | list[tuple[complex, float]]:
     """Monte-Carlo transform of the solenoid measure along frequency vectors xi.
 
-    Draws angular samples from nu, pushes (theta, 0, 0) through depth
-    applications of eq.spec's solid-torus map (the angular marginal stays nu
-    while the fibers land within 4^-depth of the attractor), and averages
-    e^{i xi . p}.  xi is one 3-vector, giving one (value, standard error)
-    pair, or a (k, 3) array, giving a list of k pairs.  The samples are
-    drawn and pushed once per call and every frequency is reduced from the
-    same points, one at a time: a batch row equals the single-vector call
-    bit for bit, and identical seeds give bit-identical output.  The fiber
-    is pushed only when some row of xi has a nonzero fiber component;
-    otherwise the push is f^depth of the angles alone.  That changes no bit:
-    a zero fiber component adds only +-0.0 to a nonzero phase.  The push
-    runs in fixed chunks on as many threads as os.sched_getaffinity allows
-    (solenoid.push_forward); the draw and the reductions run on the whole
-    arrays, so the output does not depend on the thread count.
+    Draws angular samples from nu and averages e^{i xi . p} over them.  mu
+    projects onto nu along the stable fibers, so a row of xi whose fiber
+    components are zero reduces over the draws themselves.  Only a row with
+    a nonzero fiber component reads the draws pushed as (theta, 0, 0)
+    through depth applications of eq.spec's solid-torus map, which lands
+    them within 4^-depth of the attractor; the push runs only if some row
+    has one.  xi is one 3-vector, giving one (value, standard error) pair,
+    or a (k, 3) array, giving a list of k pairs.  The samples are drawn once
+    per call and every frequency is reduced from them, one at a time: a
+    batch row equals the single-vector call bit for bit, and identical
+    seeds give bit-identical output.
 
     Decay along xi is only claimed for directions with a nonzero angular
     component (the unstable cone); purely fiber-directed frequencies probe
@@ -111,18 +109,22 @@ def mu_hat(
     if xi.shape[-1:] != (3,) or xi.ndim > 2:
         raise ValueError("xi must be a 3-vector or a (k, 3) array")
     if xi.size == 0:
-        return []  # no frequencies: nothing to draw or push
+        return []  # no frequencies: nothing to draw
 
     rows = np.atleast_2d(xi)
-    fiber = bool(rows[:, 1:].any())
-    thetas, xs, ys = push_forward(eq.spec, sample(eq, samples, seed), depth, fiber=fiber)
+    draws = sample(eq, samples, seed)
+    reads_fiber = rows[:, 1:].any(axis=1)
+    if reads_fiber.any():
+        thetas, xs, ys = push_forward(eq.spec, draws, depth)
 
     results = []
-    for row in rows:
-        phase = row[0] * thetas
+    for row, fiber in zip(rows, reads_fiber):
         if fiber:
+            phase = row[0] * thetas
             phase += row[1] * xs
             phase += row[2] * ys
+        else:
+            phase = row[0] * draws
         vals = 1j * phase
         np.exp(vals, out=vals)  # in place: one complex array per frequency
         value = complex(vals.mean())

@@ -9,8 +9,6 @@ derivative equal to f'(theta) and the bunching product f'(theta)/4.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,11 +29,6 @@ __all__ = [
 ]
 
 _QUARTER_PI_INV = 1.0 / (4.0 * np.pi)
-
-# Points per push_forward chunk.  A chunk's coordinates and step temporaries
-# stay in cache across all its steps; the size is fixed so that the output
-# cannot depend on how many threads share the chunks.
-_CHUNK = 1 << 16
 
 
 class SolenoidPoint(NamedTuple):
@@ -71,63 +64,19 @@ def step_many(spec, thetas, xs, ys):
     )
 
 
-def _worker_count() -> int:
-    """Threads _thread_map may use: the CPUs this process may run on.
-
-    push_forward's chunks run on this many threads, so patching it governs them.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _thread_map(fn, starts) -> None:
-    """Call fn(start) for each start on up to _worker_count() threads.
-
-    The pool is capped at the task count, and a single worker runs the
-    tasks inline.  Callers give each task a fixed, disjoint slice of a
-    preallocated output (NumPy releases the interpreter lock inside its
-    ufuncs), so the result does not depend on the thread count.
-    """
-    workers = min(_worker_count(), len(starts))
-    if workers <= 1:
-        list(map(fn, starts))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fn, starts))  # reading every result re-raises a task's error
-
-
-def push_forward(spec: PerturbationSpec, thetas, depth: int, fiber: bool = True):
+def push_forward(spec: PerturbationSpec, thetas, depth: int):
     """F^depth of the points (theta, 0, 0), thetas a 1-D array: the image (thetas, xs, ys).
 
-    The points are pushed in fixed chunks of _CHUNK, each chunk through all
-    depth steps of step_many while it stays in cache.  The chunks are shared
-    out by _thread_map.  Every point sees the same operations whatever its
-    chunk or thread, so the output does not depend on the thread count.
-    From the solid torus, the fiber distance to the attractor afterwards is
-    at most 2 * 4^-depth.  With fiber false only the angles are pushed, by
-    f_eval alone, and xs and ys are None: the angular image is the same
-    bit for bit, since F's angular part never reads the fiber.
+    depth calls of step_many on the whole arrays.  From the solid torus, the
+    fiber distance to the attractor afterwards is at most 2 * 4^-depth.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    thetas = np.asarray(thetas, dtype=float)
-    out = tuple(np.empty(thetas.size) for _ in range(3 if fiber else 1))
-
-    def push(start: int) -> None:
-        chunk = slice(start, start + _CHUNK)
-        t, x, y = thetas[chunk], 0.0, 0.0
-        for _ in range(depth):
-            if fiber:
-                t, x, y, _ = step_many(spec, t, x, y)
-            else:
-                t, _ = f_eval(spec, t)
-        for full, part in zip(out, (t, x, y)):  # without the fiber, out holds t alone
-            full[chunk] = part
-
-    _thread_map(push, range(0, thetas.size, _CHUNK))
-    return out if fiber else (out[0], None, None)
+    t = np.asarray(thetas, dtype=float)
+    x, y = np.zeros(t.size), np.zeros(t.size)
+    for _ in range(depth):
+        t, x, y, _ = step_many(spec, t, x, y)
+    return t, x, y
 
 
 def jacobian(spec: PerturbationSpec, p: SolenoidPoint) -> np.ndarray:

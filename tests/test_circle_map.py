@@ -29,7 +29,7 @@ from solenoidlab.circle_map import (
     periodic_theta,
     verify_lattice,
 )
-from solenoidlab.solenoid import _CHUNK, _QUARTER_PI_INV, push_forward
+from solenoidlab.solenoid import _QUARTER_PI_INV, push_forward
 
 # alpha_2 evaluated once at 60 digits and frozen; it doubles as the
 # regression constant for the coefficient table.
@@ -293,7 +293,7 @@ def test_f_and_g_match_remainder_reference(kind, n_max):
 
 def test_push_forward_matches_remainder_reference(spec):
     rng = np.random.default_rng(5)
-    count = 2 * _CHUNK + 777
+    count = 10_007
     thetas, xs, ys = rng.random(count), np.zeros(count), np.zeros(count)
     got = push_forward(spec, thetas, 20)
     for _ in range(20):

@@ -98,7 +98,6 @@ def test_construct_artifacts(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["experiment"] == "construct"
     assert manifest["config"]["lattice_k_max"] == 6
-    assert isinstance(manifest["threads"], int) and manifest["threads"] >= 1
 
 
 def test_equilibrium_artifacts(tmp_path):
@@ -120,26 +119,22 @@ def test_fourier_artifacts(tmp_path):
     assert len(summary["marginal_cross_check"]) == 3
 
 
-def _whole_array_push(spec, thetas, depth, fiber):
-    # pushes the fiber whatever fiber says, so the runs below check the
-    # angle-only push against the full one
-    xs = ys = np.zeros(len(thetas))
-    for _ in range(depth):
-        thetas, xs, ys, _ = solenoid.step_many(spec, thetas, xs, ys)
-    return thetas, xs, ys
-
-
-def test_fourier_summary_independent_of_threads(tmp_path, monkeypatch):
-    config = _fast_config(mu_samples=150_000)  # two full push chunks and a partial one
-    bodies = []
-    for workers in (1, 2):
-        monkeypatch.setattr(solenoid, "_worker_count", lambda w=workers: w)
-        run("fourier", config, tmp_path / str(workers))
-        bodies.append((tmp_path / str(workers) / "summary.json").read_bytes())
-    monkeypatch.setattr(fourier, "push_forward", _whole_array_push)
-    run("fourier", config, tmp_path / "whole")
-    bodies.append((tmp_path / "whole" / "summary.json").read_bytes())
-    assert bodies[0] == bodies[1] == bodies[2]
+def test_removed_depth_knob_exits_2(tmp_path):
+    # mu_hat's fiberless rows read no push, so the CLI has no depth to set
+    with pytest.raises(SystemExit) as exc:
+        main(["fourier", "--depth", "20", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    manifest = tmp_path / "manifest.json"
+    stale = {**resolve_config(), "mu_depth": 20}
+    manifest.write_text(json.dumps({"experiment": "fourier", "config": stale}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mu_depth": 20}))
+    for path in (manifest, config):
+        with pytest.raises(ConfigError, match="mu_depth"):
+            resolve_config(config_path=str(path))
+        out = tmp_path / path.stem
+        assert main(["fourier", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_nonconc_and_expsum_artifacts(tmp_path):
@@ -396,7 +391,6 @@ def _context(n):
 _LIMITS = {
     "grid_m": (lambda eq, m: thermo.GridFunction(np.zeros(m)), 1024, [512, 1536]),
     "mu_samples": (lambda eq, s: fourier.mu_hat(eq, np.zeros((0, 3)), s), 1000, [999]),
-    "mu_depth": (lambda eq, d: fourier.mu_hat(eq, np.zeros((0, 3)), depth=d), 15, [14]),
     "freq_count": (
         lambda eq, k: fourier.decay_exponent([(f, f**-0.5) for f in 10.0 * 2.0 ** np.arange(k)]),
         8,
@@ -533,7 +527,7 @@ def test_python_m_runs_from_checkout(tmp_path):
 
 
 # every subcommand's flags and the config key each sets: a flag reaches only
-# the subcommands whose runners read its key, 42 (flag, subcommand) pairs
+# the subcommands whose runners read its key, 40 (flag, subcommand) pairs
 _SHARED_FLAGS = {"--n-max": "n_max", "--bump-kind": "bump_kind"}
 _EQ = {"--grid": "grid_m", "--potential": "potential"}
 _ZETA_FLAGS = {"--zeta-n": "zeta_n", "--context": "zeta_context"}
@@ -545,7 +539,7 @@ _OWN_FLAGS = {
     "twisted": {**_EQ, "--t": "twist_t", "--steps": "twist_steps"},
     "nonconc": {**_EQ, **_ZETA_FLAGS},
     "expsum": {**_EQ, **_ZETA_FLAGS, "--eps0": "eps0"},
-    "fourier": {**_EQ, "--samples": "mu_samples", "--depth": "mu_depth", "--seed": "seed"},
+    "fourier": {**_EQ, "--samples": "mu_samples", "--seed": "seed"},
 }
 _OWN_FLAGS["all"] = {k: v for flags in _OWN_FLAGS.values() for k, v in flags.items()}
 _FLAG_VALUE = {"--bump-kind": "exp", "--context": "0101", "--potential": "mme"}

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from solenoidlab import solenoid
+from solenoidlab import fourier
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
-from solenoidlab.thermo import mme_potential, solve_equilibrium
+from solenoidlab.thermo import GridFunction, mme_potential, nodes, solve_equilibrium
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,17 @@ def test_mu_hat_matches_nu_hat_on_first_axis(pert_eq):
         assert abs(val - ref) < 3.0 * err
 
 
+def test_mu_hat_matches_nu_hat_on_the_holder_state():
+    # mu projects onto nu along the fibers, so the angular marginal must be
+    # nu's for any potential, not only mme's; a forward push of the draws
+    # drifts toward the SRB measure here and misses by ~200 stderr
+    psi = GridFunction(0.5 * np.sin(2 * np.pi * nodes(1 << 14)))
+    eq = solve_equilibrium(coefficient_table(5), psi)
+    xis = [(2.0 * math.pi * k, 0.0, 0.0) for k in (1, 2, 3)]
+    for xi, (val, err) in zip(xis, mu_hat(eq, xis, samples=1_000_000)):
+        assert abs(val - nu_hat(eq, xi[0])) < 3.0 * err, xi
+
+
 def test_mu_hat_conjugate_symmetry(pert_eq):
     xi = (50.0, 3.0, -2.0)
     a, _ = mu_hat(pert_eq, xi, samples=5_000, seed=9)
@@ -105,10 +116,10 @@ def test_mu_hat_batch_matches_single_calls(pert_eq):
 
 
 def test_mu_hat_pushes_the_fiber_only_when_a_frequency_reads_it(pert_eq, monkeypatch):
-    def fiber_step(*args):
+    def push(*args):
         raise AssertionError("the fiber was pushed")
 
-    monkeypatch.setattr(solenoid, "step_many", fiber_step)
+    monkeypatch.setattr(fourier, "push_forward", push)
     mu_hat(pert_eq, (10.0, 0.0, 0.0), samples=2_000)
     mu_hat(pert_eq, [(10.0, 0.0, 0.0), (-3.0, -0.0, 0.0)], samples=2_000)
     for xi in [(10.0, 0.0, 1.0), [(10.0, 0.0, 0.0), (0.0, 2.0, 0.0)]]:
