@@ -224,14 +224,16 @@ def test_push_forward_identity_and_contraction(spec):
     assert abs(ya - yb) < 2 * 4.0**-20
 
 
-def test_push_forward_matches_serial_steps(spec):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_push_forward_matches_serial_steps(spec, copies):
+    # each row's image is its own serial walk, whatever else is in the batch
     rng = np.random.default_rng(29)
     n = 10_007
     thetas = rng.random(n)
     want = _walk(spec, thetas, np.zeros(n), np.zeros(n), 20)
-    got = push_forward(spec, thetas, 20)
+    got = push_forward(spec, np.tile(thetas, copies), 20)
     for coord, g, w in zip("txy", got, want):
-        assert np.array_equal(g, w), coord
+        assert np.array_equal(g, np.tile(w, copies)), coord
 
 
 def test_periodic_orbit_rows(spec):
@@ -273,10 +275,11 @@ def test_push_forward_deep_resolves_fiber(spec):
     assert abs(ya - yb) <= np.finfo(float).eps
 
 
-def test_package_starts_no_threads():
-    # every computation runs on the calling thread, so no thread count can
-    # reach an artifact; a pool brought back needs a test that the output
-    # does not depend on the thread count.
+def test_one_thread_pool_in_package():
+    # the package makes no pool at all: every computation runs on the calling
+    # thread, so no thread count can reach an artifact.  A pool brought back
+    # must be the one place threads start, with a test that the output does
+    # not depend on the thread count.
     for path in sorted(Path(solenoid.__file__).parent.glob("*.py")):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text())):

@@ -1,7 +1,9 @@
 """Twisted-operator profiles, phase tables, pair counts, exponential sums."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -338,6 +340,20 @@ def test_banded_exp_sum_equals_whole_block(monkeypatch, etas_per_call, k, fold_l
     if k > 1:
         values, _ = twisted._product_distribution(tables[:-1])
         assert len(list(twisted._bands(etas[-1], values, np.ptp(tables[-1].values) / 2))) > 1
+
+
+def test_twisted_starts_no_threads():
+    # exp_sum runs on the calling thread, so no thread count can reach its
+    # sums; a pool brought back here needs a test that the sums do not
+    # depend on the thread count.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(twisted.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {alias.name for alias in node.names}
+    assert not {name.split(".")[0] for name in imported} & {"solenoid", "threading", "concurrent"}
 
 
 def test_expansion_matches_mpmath_on_default_table(pert_eq):
