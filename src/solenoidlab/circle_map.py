@@ -11,8 +11,10 @@ can be reported and checked without floating-point loss.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 import mpmath
 import numpy as np
 
@@ -355,39 +357,35 @@ def verify_lattice(k_max: int, radius_base: int = 8) -> LatticeReport:
     pairwise disjoint, and (ii) every forward-orbit point 2^k/(2^N - 1),
     2 <= N <= k_max, 1 <= k <= N-1, avoids the *entire* thickened lattice
     (all orders, not just those up to k_max).  radius_base is exposed so a
-    mutated radius (e.g. 2^-K) can be fed in as a negative control.
+    mutated radius (e.g. 2^-K) can be fed in as a negative control.  Both
+    ends of the order-K interval fall strictly as K grows, so one list in
+    that order decides (i) from neighbours and (ii) by bisection.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     if radius_base < 2:
         raise ValueError("radius_base must be >= 2")
 
+    # For b = radius_base >= 2, c_K - c_(K+1) = 2^K/((2^K - 1)(2^(K+1) - 1))
+    # > 2^(-K-1) >= b^-K (1 - 1/b) = r_K - r_(K+1), so lo_K and hi_K both fall
+    # strictly with K.  Two intervals then overlap only if two neighbours do,
+    # the first overlapping pair is a neighbour pair, and the orders whose
+    # interval holds a point p form one run from the least K with lo_K <= p:
+    # the largest lo at or below p is the only candidate.  No order past
+    # k_max is needed: hi_(k_max) = c_(k_max) + b^-k_max lies below
+    # 2/(2^k_max - 1), the smallest exclusion point.  Order K sits at index
+    # k_max - K, so lo and hi rise along the list.
+    intervals = [_interval(K, radius_base) for K in range(k_max, 1, -1)]
+    n = len(intervals)
+
     first_violation: str | None = None
-    intervals = [(K, *_interval(K, radius_base)) for K in range(2, k_max + 1)]
-
-    pairs = 0
     disjoint_ok = True
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            pairs += 1
-            ki, lo_i, hi_i = intervals[i]
-            kj, lo_j, hi_j = intervals[j]
-            if not (hi_j < lo_i or hi_i < lo_j):
-                disjoint_ok = False
-                if first_violation is None:
-                    first_violation = f"intervals K={ki} and K={kj} overlap"
-
-    # Exclusion points are all > 2^(1-k_max); intervals of high enough order
-    # sit entirely below that, so finitely many orders cover the full lattice.
-    min_point = Fraction(2, 2**k_max - 1)
-    deep = []
-    K = 2
-    while True:
-        lo, hi = _interval(K, radius_base)
-        if hi < min_point:
+    for K in range(2, k_max):
+        lo, hi_next = intervals[k_max - K][0], intervals[k_max - K - 1][1]
+        if hi_next >= lo:
+            disjoint_ok = False
+            first_violation = f"intervals K={K} and K={K + 1} overlap"
             break
-        deep.append((K, lo, hi))
-        K += 1
 
     exclusions = 0
     exclusions_ok = True
@@ -396,20 +394,17 @@ def verify_lattice(k_max: int, radius_base: int = 8) -> LatticeReport:
         for k in range(1, N):
             exclusions += 1
             p = Fraction(2**k, den)
-            for K, lo, hi in deep:
-                if lo <= p <= hi:
-                    exclusions_ok = False
-                    if first_violation is None:
-                        first_violation = (
-                            f"2^{k}/(2^{N}-1) lies in the order-{K} interval"
-                        )
-                    break
+            i = bisect_right(intervals, p, key=itemgetter(0)) - 1
+            if i >= 0 and p <= intervals[i][1]:
+                exclusions_ok = False
+                if first_violation is None:
+                    first_violation = f"2^{k}/(2^{N}-1) lies in the order-{k_max - i} interval"
 
     return LatticeReport(
         k_max=k_max,
         radius_base=radius_base,
-        intervals_checked=len(intervals),
-        pairs_checked=pairs,
+        intervals_checked=n,
+        pairs_checked=n * (n - 1) // 2,
         exclusions_checked=exclusions,
         disjoint_ok=disjoint_ok,
         exclusions_ok=exclusions_ok,

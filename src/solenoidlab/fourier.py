@@ -153,7 +153,7 @@ def decay_exponent(series: Sequence[tuple[float, float]]) -> DecaySeries:
     mods = np.array([m for _, m in series], dtype=float)
     if freqs.size < _MIN_FREQUENCIES:
         raise ValueError(f"need at least {_MIN_FREQUENCIES} frequencies")
-    if np.any(np.diff(freqs) <= 0) or np.any(freqs <= 0):
+    if not (freqs[0] > 0 and np.all(np.diff(freqs) > 0)):  # also false for a NaN
         raise ValueError("frequencies must be positive and increasing")
     if freqs[-1] / freqs[0] < 100.0:
         raise ValueError("frequencies must span at least two decades")

@@ -349,7 +349,8 @@ def upper_regularity_exponent(eq: EquilibriumData, radii: Sequence[float]) -> fl
     radii = np.asarray(list(radii), dtype=float)
     if radii.ndim != 1 or radii.size < 2:
         raise ValueError("need at least two radii")
-    if np.any((radii <= 0.0) | (radii >= 0.5)) or np.any(np.diff(radii) >= 0):
+    # each comparison is also false for a NaN
+    if not (np.all((radii > 0.0) & (radii < 0.5)) and np.all(np.diff(radii) < 0)):
         raise ValueError("radii must be decreasing in (0, 1/2)")
     centers = nodes(eq.m)
     sup_mass = np.array([ball_mass(eq, centers, r).max() for r in radii])
@@ -397,7 +398,7 @@ def large_deviation_profile(
     regresses ln fraction on n over the positive entries (0 when fewer
     than two entries are positive).
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # also false for a NaN
         raise ValueError("epsilon must be positive")
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -435,6 +436,8 @@ def regular_words(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not epsilon > 0.0:  # also false for a NaN
+        raise ValueError("epsilon must be positive")
     pts = level_endpoints(eq.spec, n + 1)
     s_tau, s_phi = (
         sums[n] - np.tile(sums[0], 1 << n)

@@ -113,7 +113,7 @@ def nonconcentration_count(table: ZetaTable, sigma: float) -> int:
     the pairs with j >= i, less the diagonal.  An all-equal table of size N
     counts exactly N^2.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:  # also false for a NaN
         raise ValueError("sigma must be positive")
     v = np.sort(table.values)
     rows = np.arange(v.size)

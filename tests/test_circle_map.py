@@ -406,6 +406,60 @@ def test_mutated_radius_fails_disjointness():
     assert report.first_violation is not None
 
 
+def _all_pairs_lattice(k_max, radius_base):
+    """The lattice check as every pair of orders and every point against every order."""
+    first = None
+    intervals = [(K, *circle_map._interval(K, radius_base)) for K in range(2, k_max + 1)]
+    pairs, disjoint_ok = 0, True
+    for i, (ki, lo_i, hi_i) in enumerate(intervals):
+        for kj, lo_j, hi_j in intervals[i + 1:]:
+            pairs += 1
+            if not (hi_j < lo_i or hi_i < lo_j):
+                disjoint_ok = False
+                first = first or f"intervals K={ki} and K={kj} overlap"
+    # every order whose interval reaches the smallest point, 2/(2^k_max - 1)
+    min_point = Fraction(2, 2**k_max - 1)
+    deep = []
+    while not deep or deep[-1][2] >= min_point:
+        deep.append((len(deep) + 2, *circle_map._interval(len(deep) + 2, radius_base)))
+    exclusions, exclusions_ok = 0, True
+    for N in range(2, k_max + 1):
+        for k in range(1, N):
+            exclusions += 1
+            p = Fraction(2**k, 2**N - 1)
+            for K, lo, hi in deep:
+                if lo <= p <= hi:
+                    exclusions_ok = False
+                    first = first or f"2^{k}/(2^{N}-1) lies in the order-{K} interval"
+                    break
+    return LatticeReport(
+        k_max, radius_base, len(intervals), pairs, exclusions, disjoint_ok, exclusions_ok, first
+    )
+
+
+@pytest.mark.parametrize("radius_base", [2, 3, 4, 5, 8, 16])
+def test_lattice_sweep_matches_all_pairs(radius_base):
+    for k_max in range(2, 41):
+        assert verify_lattice(k_max, radius_base) == _all_pairs_lattice(k_max, radius_base)
+
+
+def test_lattice_violation_messages():
+    assert verify_lattice(20, radius_base=2).first_violation == "intervals K=2 and K=3 overlap"
+    report = verify_lattice(5, radius_base=3)
+    assert report.disjoint_ok and not report.exclusions_ok
+    assert report.first_violation == "2^1/(2^3-1) lies in the order-2 interval"
+
+
+def test_lattice_interval_ends_fall_with_the_order():
+    # the sweep's precondition: lo_K and hi_K fall strictly with K, and
+    # hi_K lies below 2/(2^K - 1), the smallest exclusion point at k_max = K
+    for radius_base in range(2, 65):
+        ends = [circle_map._interval(K, radius_base) for K in range(2, 201)]
+        for K, ((lo, hi), (lo_next, hi_next)) in enumerate(zip(ends, ends[1:]), start=2):
+            assert lo_next < lo and hi_next < hi, (radius_base, K)
+            assert hi < Fraction(2, 2**K - 1), (radius_base, K)
+
+
 def test_lattice_argument_validation():
     with pytest.raises(ValueError):
         verify_lattice(1)

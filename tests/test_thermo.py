@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from solenoidlab import symbolic, thermo
 from solenoidlab.circle_map import _mod1, coefficient_table, f_eval, linear_spec
+from solenoidlab.fourier import decay_exponent
 from solenoidlab.symbolic import apply_word
 from solenoidlab.thermo import (
     GridFunction,
@@ -27,7 +28,7 @@ from solenoidlab.thermo import (
     transfer_matrix,
     upper_regularity_exponent,
 )
-from solenoidlab.twisted import twisted_norm_profile
+from solenoidlab.twisted import ZetaTable, nonconcentration_count, twisted_norm_profile
 
 M = 1 << 12
 LN2 = math.log(2.0)
@@ -389,6 +390,27 @@ def test_deviation_profile_generic_potential_decays(sin_eq):
     assert any(f > 0.0 for f in fractions)
     assert all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
     assert prof.fitted_rate < 0.0
+
+
+_NAN = float("nan")
+_NAN_FREQUENCIES = 10.0 * 2.0 ** np.array([0, 1, 2, _NAN, 4, 5, 6, 7, 8, 9])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda eq: nonconcentration_count(ZetaTable(np.array([1.0, 2.0])), _NAN), "sigma"),
+        (lambda eq: large_deviation_profile(eq, _NAN, [2, 4]), "epsilon"),
+        (lambda eq: regular_words(eq, 6, _NAN), "epsilon"),
+        (lambda eq: upper_regularity_exponent(eq, [0.1, _NAN, 0.01]), "radii"),
+        (lambda eq: decay_exponent([(f, f**-0.5) for f in _NAN_FREQUENCIES]), "frequencies"),
+    ],
+    ids=["nonconcentration_count", "large_deviation_profile", "regular_words",
+         "upper_regularity_exponent", "decay_exponent"],
+)
+def test_nan_fails_the_positivity_checks(lin_eq, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(lin_eq)
 
 
 def test_regular_words_linear(lin_eq):
