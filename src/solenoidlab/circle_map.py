@@ -90,14 +90,9 @@ def bump_chi(u, kind: str = "exp"):
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown bump kind {kind!r}; expected one of {BUMP_KINDS}")
-    scalar = np.ndim(u) == 0
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    theta, dtheta = _bump_theta(u_arr, kind)
-    chi = u_arr * theta
-    dchi = theta + u_arr * dtheta
-    if scalar:
-        return float(chi[0]), float(dchi[0])
-    return chi, dchi
+    u = np.asarray(u, dtype=float)
+    theta, dtheta = _bump_theta(u, kind)
+    return u * theta, theta + u * dtheta
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +223,16 @@ def _mod1(x):
 def circle_dist(a, b):
     """Distance on R/Z: min(|a-b|, 1-|a-b|) after reduction."""
     d = _mod1(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-    d = np.minimum(d, 1.0 - d)
-    return float(d) if np.ndim(d) == 0 else d
+    return np.minimum(d, 1.0 - d)
 
 
 def g_eval(spec: PerturbationSpec, x):
-    """Perturbation g and g' at x (scalar or array), x taken mod 1.
+    """Perturbation g and g' at x, taken mod 1: any shape in, the same shape out.
 
-    g(x) = sum_N alpha_N 8^-N chi(8^N (x - 1/(2^N-1))); the supports for
-    distinct N are disjoint so at most one term is active at any point.
+    A scalar x gives NumPy floats.  g(x) = sum_N alpha_N 8^-N chi(8^N (x - 1/(2^N-1)));
+    the supports for distinct N are disjoint so at most one term is active at any point.
     """
-    scalar = np.ndim(x) == 0
-    xv = _mod1(np.atleast_1d(np.asarray(x, dtype=float)))
+    xv = _mod1(np.asarray(x, dtype=float))
     g = np.zeros_like(xv)
     gp = np.zeros_like(xv)
     for i, alpha in enumerate(spec.alphas):
@@ -249,24 +242,18 @@ def g_eval(spec: PerturbationSpec, x):
         live = np.abs(u) < 0.5
         if not np.any(live):
             continue
+        # a boolean mask indexes a 0-d array as well, so one path serves every shape
         chi, dchi = bump_chi(u[live], spec.bump_kind)
         g[live] += alpha / scale * chi
         gp[live] += alpha * dchi
-    if scalar:
-        return float(g[0]), float(gp[0])
-    return g, gp
+    return g[()], gp[()]
 
 
 def f_eval(spec: PerturbationSpec, x):
     """Circle map value f(x) = (2x + g(x)) mod 1 and derivative f'(x) = 2 + g'(x)."""
-    scalar = np.ndim(x) == 0
-    xv = _mod1(np.atleast_1d(np.asarray(x, dtype=float)))
+    xv = _mod1(np.asarray(x, dtype=float))
     g, gp = g_eval(spec, xv)
-    fx = _mod1(2.0 * xv + g)
-    fp = 2.0 + gp
-    if scalar:
-        return float(fx[0]), float(fp[0])
-    return fx, fp
+    return _mod1(2.0 * xv + g), 2.0 + gp
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,8 @@ def mu_hat(
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (3,) or xi.ndim > 2:
         raise ValueError("xi must be a 3-vector or a (k, 3) array")
+    if not np.isfinite(xi).all():
+        raise ValueError("every entry of xi must be finite")
     if xi.size == 0:
         return []  # no frequencies: nothing to draw
 
@@ -147,7 +149,8 @@ def decay_exponent(series: Sequence[tuple[float, float]]) -> DecaySeries:
     """Least-squares slope of ln modulus against ln frequency.
 
     Zero moduli are dropped; at least four points must remain.  Requires
-    at least eight frequencies spanning two decades.
+    at least eight frequencies spanning two decades and finite,
+    non-negative moduli.
     """
     freqs = np.array([f for f, _ in series], dtype=float)
     mods = np.array([m for _, m in series], dtype=float)
@@ -158,6 +161,8 @@ def decay_exponent(series: Sequence[tuple[float, float]]) -> DecaySeries:
     if freqs[-1] / freqs[0] < 100.0:
         raise ValueError("frequencies must span at least two decades")
 
+    if not np.all((mods >= 0.0) & (mods < np.inf)):  # also false for a NaN
+        raise ValueError("moduli must be finite and non-negative")
     keep = mods > 0.0
     if keep.sum() < 4:
         raise ValueError(f"only {int(keep.sum())} points have a positive modulus")

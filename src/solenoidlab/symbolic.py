@@ -106,15 +106,14 @@ def _compose(spec: PerturbationSpec, word: Word, y: np.ndarray, deriv: np.ndarra
 def apply_word(spec: PerturbationSpec, w: Sequence[int], x):
     """Composed inverse branch g_w(x) and its chain-rule derivative.
 
-    x (scalar or array) is a lift coordinate in [0, 1].  For w = w_1 ... w_n
+    x holds lift coordinates in [0, 1] in any shape, and both results come
+    back in the same shape (NumPy floats for a scalar).  For w = w_1 ... w_n
     the branches apply right to left, so the image lies in the cylinder of w
     and the derivative is the product of 1/f' along the returned point's
     forward orbit.  The empty word is the identity.
     """
     y, deriv = _compose(spec, _check_word(w), *_identity(x))
-    if np.ndim(x) == 0:
-        return float(y[0]), float(deriv[0])
-    return y, deriv
+    return y.reshape(np.shape(x))[()], deriv.reshape(np.shape(x))[()]
 
 
 def preimage_tree(spec: PerturbationSpec, x, n: int):

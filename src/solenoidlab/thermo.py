@@ -69,6 +69,8 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or not _grid_ok(vals.size):
             raise ValueError(f"grid size must be a power of two >= {_MIN_GRID}")
+        if not np.isfinite(vals).all():
+            raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -93,8 +95,7 @@ def _cell(x, m: int):
 
 def _interp_periodic(values: np.ndarray, x):
     j, right, frac = _cell(x, values.shape[0])
-    out = values[j] * (1.0 - frac) + values[right] * frac
-    return float(out) if np.ndim(x) == 0 else out
+    return values[j] * (1.0 - frac) + values[right] * frac
 
 
 def nodes(m: int) -> np.ndarray:
@@ -301,8 +302,7 @@ def measure_cdf(eq: EquilibriumData, x) -> np.ndarray:
     frac = t - j
     rho_next = rho[(j + 1) % m]
     local = (rho[j] * frac + 0.5 * (rho_next - rho[j]) * frac**2) / m
-    out = (cdf[j] + local) / total
-    return float(out) if np.ndim(x) == 0 else out
+    return (cdf[j] + local) / total
 
 
 def ball_mass(eq: EquilibriumData, centers, r: float):

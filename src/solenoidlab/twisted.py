@@ -47,6 +47,8 @@ def twisted_norm_profile(eq: EquilibriumData, t: float, n_max: int) -> np.ndarra
     """
     if not 1 <= n_max <= _MAX_STEPS:
         raise ValueError(f"n_max must be in 1..{_MAX_STEPS}")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     mat = transfer_matrix(eq.spec, eq.phi, twist=float(t))
     h = np.ones(eq.m, dtype=complex)
     norms = np.empty(n_max)

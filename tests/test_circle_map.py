@@ -325,6 +325,39 @@ def test_one_mod1_reduction_in_package():
     assert found == []
 
 
+def test_no_scalar_branch_in_package():
+    # NumPy carries a 0-d value through every evaluation, so no function tests
+    # for a scalar by its ndim; the one lift left is _identity's, whose rows
+    # preimage_tree concatenates level by level.
+    def np_call(node, name):
+        callee = getattr(node, "func", None)
+        return (
+            isinstance(callee, ast.Attribute)
+            and callee.attr == name
+            and getattr(callee.value, "id", None) in ("np", "numpy")
+        )
+
+    def is_ndim(node):
+        return np_call(node, "ndim") or (isinstance(node, ast.Attribute) and node.attr == "ndim")
+
+    ndim_tests, lifts = [], set()
+    for path in sorted(Path(circle_map.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if np_call(node, "atleast_1d"):
+                    lifts.add((path.name, func.name))
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(map(is_ndim, sides)) and any(
+                        isinstance(side, ast.Constant) and side.value == 0 for side in sides
+                    ):
+                        ndim_tests.append((path.name, func.name, node.lineno))
+    assert ndim_tests == []
+    assert lifts <= {("symbolic.py", "_identity")}
+
+
 # ---------------------------------------------------------------------------
 # periodic points and exponents
 # ---------------------------------------------------------------------------

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solenoidlab import symbolic, thermo
-from solenoidlab.circle_map import _mod1, coefficient_table, f_eval, linear_spec
-from solenoidlab.fourier import decay_exponent
+from solenoidlab.circle_map import (
+    _mod1,
+    bump_chi,
+    circle_dist,
+    coefficient_table,
+    f_eval,
+    g_eval,
+    linear_spec,
+)
+from solenoidlab.fourier import decay_exponent, mu_hat
 from solenoidlab.symbolic import apply_word
 from solenoidlab.thermo import (
     GridFunction,
@@ -317,6 +325,39 @@ def test_cylinder_levels_match_each_level_bit_for_bit(pert_eq, sin_eq, which):
             assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), n
 
 
+# Every entry point the lab evaluates on single angles and on arrays alike,
+# each returning a tuple of results.
+_SHAPED = {
+    "bump_chi": lambda eq, x: bump_chi(x - 0.5, eq.spec.bump_kind),
+    "g_eval": lambda eq, x: g_eval(eq.spec, x),
+    "f_eval": lambda eq, x: f_eval(eq.spec, x),
+    "circle_dist": lambda eq, x: (circle_dist(x, 0.75),),
+    "grid_function": lambda eq, x: (eq.phi(x),),
+    "measure_cdf": lambda eq, x: (measure_cdf(eq, x),),
+    "apply_word": lambda eq, x: apply_word(eq.spec, (0, 1, 1), x),
+}
+
+# twelve angles in [0, 1], the first four inside the order-2..5 bumps so g is live
+_ANGLES = np.concatenate([
+    1.0 / (2.0 ** np.arange(2, 6) - 1.0) + 3e-4,
+    np.random.default_rng(24).random(8),
+])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0d", "1d", "2d"])
+@pytest.mark.parametrize("name", sorted(_SHAPED))
+def test_evaluations_keep_the_input_shape(pert_eq, name, shape):
+    # shape in, shape out: each result has x's shape and equals, bit for bit,
+    # the evaluation of the raveled x reshaped; a scalar x gives a float
+    x = _ANGLES[: math.prod(shape)].reshape(shape)
+    x = float(x) if shape == () else x
+    call = _SHAPED[name]
+    for got, flat in zip(call(pert_eq, x), call(pert_eq, np.ravel(x)), strict=True):
+        assert np.shape(got) == shape
+        assert np.array_equal(_bits(got), _bits(flat.reshape(shape)))
+        assert isinstance(got, float) == (shape == ())
+
+
 def test_level_cap_raises_before_any_tree(spec, pert_eq, monkeypatch):
     cap = symbolic._MAX_LEVEL
     built = []
@@ -396,6 +437,12 @@ _NAN = float("nan")
 _NAN_FREQUENCIES = 10.0 * 2.0 ** np.array([0, 1, 2, _NAN, 4, 5, 6, 7, 8, 9])
 
 
+def _decay_series(bad):
+    """Ten frequencies 10 2^i with moduli 1/f, the fourth modulus replaced by bad."""
+    freqs = 10.0 * 2.0 ** np.arange(10)
+    return [(f, bad if i == 3 else 1.0 / f) for i, f in enumerate(freqs)]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -404,9 +451,20 @@ _NAN_FREQUENCIES = 10.0 * 2.0 ** np.array([0, 1, 2, _NAN, 4, 5, 6, 7, 8, 9])
         (lambda eq: regular_words(eq, 6, _NAN), "epsilon"),
         (lambda eq: upper_regularity_exponent(eq, [0.1, _NAN, 0.01]), "radii"),
         (lambda eq: decay_exponent([(f, f**-0.5) for f in _NAN_FREQUENCIES]), "frequencies"),
+        (lambda eq: GridFunction(np.append(np.zeros(1023), _NAN)), "finite"),
+        (lambda eq: GridFunction(np.append(np.zeros(1023), math.inf)), "finite"),
+        (lambda eq: decay_exponent(_decay_series(math.inf)), "moduli"),
+        (lambda eq: decay_exponent(_decay_series(_NAN)), "moduli"),
+        (lambda eq: mu_hat(eq, (1.0, _NAN, 0.0), samples=1000), "xi"),
+        (lambda eq: mu_hat(eq, (math.inf, 0.0, 0.0), samples=1000), "xi"),
+        (lambda eq: twisted_norm_profile(eq, _NAN, 3), "t must be finite"),
+        (lambda eq: twisted_norm_profile(eq, math.inf, 3), "t must be finite"),
     ],
     ids=["nonconcentration_count", "large_deviation_profile", "regular_words",
-         "upper_regularity_exponent", "decay_exponent"],
+         "upper_regularity_exponent", "decay_exponent",
+         "grid_function_nan", "grid_function_inf", "decay_exponent_inf_modulus",
+         "decay_exponent_nan_modulus", "mu_hat_nan_xi", "mu_hat_inf_xi",
+         "twisted_norm_profile_nan_t", "twisted_norm_profile_inf_t"],
 )
 def test_nan_fails_the_positivity_checks(lin_eq, call, message):
     with pytest.raises(ValueError, match=message):
