@@ -5,7 +5,9 @@ bump-sum perturbation g supported on the thickened lattice, and the
 degree-2 covering map f(x) = 2x + g(x) mod 1.  Periodic points sitting
 on the lattice centers carry prescribed unstable Lyapunov exponents
 e^{beta_N}; the betas are kept as exact rationals so the prescription
-can be reported and checked without floating-point loss.
+can be reported and checked without floating-point loss.  The lattice
+points, the longest period a double holds and the closure tolerance live
+here; solenoid.periodic_orbit walks the orbits and measures the exponents.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ __all__ = [
     "g_eval",
     "f_eval",
     "circle_dist",
-    "periodic_theta",
-    "lyapunov_periodic",
     "lyapunov_target",
     "verify_lattice",
 ]
@@ -260,8 +260,8 @@ def f_eval(spec: PerturbationSpec, x):
 # periodic points
 # ---------------------------------------------------------------------------
 
-# Orbit-closure tolerance of periodic_theta, lyapunov_periodic and
-# solenoid.periodic_orbit: a residual at or above it raises.
+# Orbit-closure tolerance of solenoid.periodic_orbit: a residual at or above
+# it raises.
 _PERIODIC_TOL = 1e-12
 
 # The longest period whose lattice point 1/(2^N - 1) is a double's periodic
@@ -275,38 +275,6 @@ def _lattice_point(N: int) -> float:
     if N > _MAX_PERIOD:
         raise ValueError(f"N must be at most {_MAX_PERIOD}: 1/(2^N - 1) needs more than a double")
     return 0.0 if N == 1 else 1.0 / (2.0**N - 1.0)
-
-
-def _periodic_walk(spec: PerturbationSpec, theta: float, N: int) -> tuple[float, float]:
-    """N steps of f from theta mod 1: the sum of ln f' along them and the closure residual.
-
-    Raises PeriodicityError if f^N fails to return within _PERIODIC_TOL,
-    which would signal either a broken coefficient table or precision loss.
-    """
-    start = y = _mod1(float(theta))
-    total = 0.0
-    for _ in range(N):
-        y, fp = f_eval(spec, y)
-        total += np.log(fp)
-    residual = circle_dist(y, start)
-    if residual >= _PERIODIC_TOL:
-        raise PeriodicityError(f"f^{N} moves {theta!r} by {residual:.3e} >= {_PERIODIC_TOL:.1e}")
-    return total, residual
-
-
-def periodic_theta(spec: PerturbationSpec, N: int) -> tuple[float, float]:
-    """Lattice point 1/(2^N - 1), 2 <= N <= _MAX_PERIOD, and its residual (see _periodic_walk)."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    theta = _lattice_point(N)
-    return theta, _periodic_walk(spec, theta, N)[1]
-
-
-def lyapunov_periodic(spec: PerturbationSpec, theta: float, N: int) -> float:
-    """Orbit-averaged log-derivative (1/N) sum ln f'(f^k theta) along an N-periodic orbit."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _periodic_walk(spec, theta, N)[0] / N
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,9 @@ DEFAULTS = {
 
 
 # Inclusive (low, high) bounds on each integer value and on each entry of an
-# integer list.  A fitted slope needs two sigmas or etas; every other limit is
-# the one its library function enforces, read from that function's module.
+# integer list.  A fitted slope needs two sigmas, etas or twist steps; every
+# other limit is the one its library function enforces, read from that
+# function's module.
 _BOUNDS = {
     "seed": (0, math.inf),
     "n_max": (1, _MAX_ORDER),
@@ -92,7 +93,7 @@ _BOUNDS = {
     "sigma_count": (2, math.inf),
     "eta_count": (2, math.inf),
     "zeta_n": (1, _MAX_BLOCK),
-    "twist_steps": (1, _MAX_STEPS),
+    "twist_steps": (2, _MAX_STEPS),
     "orbit_periods": (1, _MAX_PERIOD),
     "gibbs_levels": (1, _MAX_LEVEL),
     "deviation_levels": (1, _MAX_LEVEL),
@@ -189,7 +190,7 @@ def _validate(config: dict) -> np.ndarray | None:
             f"N^(expsum_k - 1) = 2^((zeta_n + 1) * (expsum_k - 1)) must be at most the fold limit "
             f"{_FOLD_LIMIT:,}: zeta_n <= {bits // 2 - 1} at expsum_k = 3, <= {bits // 3 - 1} at 4"
         )
-    _etas(config)  # raises when the largest eta overflows a double
+    _etas(config)  # raises when the largest eta overflows or the window has zero width
     if not config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need sigma_lo < sigma_hi")
     levels = config["deviation_levels"]
@@ -218,7 +219,11 @@ def _etas(config: dict) -> np.ndarray:
         top = np.exp(2.0 * eps0 * n)
     if not np.isfinite(top):
         raise ConfigError(f"the largest eta, e^(2 eps0 zeta_n) = e^{2 * eps0 * n:g}, overflows")
-    return np.geomspace(np.exp(eps0 * n / 2.0), top, config["eta_count"])
+    etas = np.geomspace(np.exp(eps0 * n / 2.0), top, config["eta_count"])
+    # a vanishing eps0 rounds every eta to 1.0, and a slope needs two distinct etas
+    if not etas[0] < etas[-1]:
+        raise ConfigError(f"eps0 = {eps0!r} gives an eta window of zero width at {float(etas[0])!r}")
+    return etas
 
 
 def _frequencies(config: dict) -> np.ndarray:

@@ -6,7 +6,8 @@ resolves the frequency); the solenoid transform mu_hat(xi) is Monte Carlo,
 since the invariant measure on the attractor has no density.  mu projects
 onto nu along the stable fibers, so a frequency with no fiber component
 reads the angular draws from nu as they are; only the others read samples
-pushed onto the attractor.
+pushed a fixed 20 steps onto the attractor, which resolves the fiber to
+2 * 4^-20 ~ 1.8e-12.
 Power-law exponents come from a log-log least-squares fit.
 """
 
@@ -29,12 +30,15 @@ __all__ = [
 ]
 
 
-# mu_hat averages at least this many samples and pushes those a fiber
-# frequency reads until they lie within 4^-depth <= _FIBER_RESOLUTION of the
-# attractor; decay_exponent fits at least _MIN_FREQUENCIES frequencies.
+# mu_hat averages at least this many samples; decay_exponent fits at least
+# _MIN_FREQUENCIES frequencies.
 _MIN_SAMPLES = 1000
-_FIBER_RESOLUTION = 1e-9
 _MIN_FREQUENCIES = 8
+
+# Solid-torus steps that push the samples a fiber frequency reads: from the
+# central fiber each step contracts the distance to the attractor by 1/4, so
+# 20 steps leave at most 2 * 4^-20 ~ 1.8e-12, far below any Monte-Carlo error.
+_FIBER_DEPTH = 20
 
 # nu_hat's closed form divides by (i t)^2, which overflows a double from
 # |t| = sqrt(largest double) ~ 1.34e154 on; nu_hat rejects t at or past it.
@@ -78,7 +82,6 @@ def mu_hat(
     eq: EquilibriumData,
     xi: Sequence[float] | Sequence[Sequence[float]],
     samples: int = 100_000,
-    depth: int = 20,
     seed: int = 0,
 ) -> tuple[complex, float] | list[tuple[complex, float]]:
     """Monte-Carlo transform of the solenoid measure along frequency vectors xi.
@@ -87,13 +90,13 @@ def mu_hat(
     projects onto nu along the stable fibers, so a row of xi whose fiber
     components are zero reduces over the draws themselves.  Only a row with
     a nonzero fiber component reads the draws pushed as (theta, 0, 0)
-    through depth applications of eq.spec's solid-torus map, which lands
-    them within 4^-depth of the attractor; the push runs only if some row
-    has one.  xi is one 3-vector, giving one (value, standard error) pair,
-    or a (k, 3) array, giving a list of k pairs.  The samples are drawn once
-    per call and every frequency is reduced from them, one at a time: a
-    batch row equals the single-vector call bit for bit, and identical
-    seeds give bit-identical output.
+    through _FIBER_DEPTH = 20 applications of eq.spec's solid-torus map,
+    which lands them within 2 * 4^-20 of the attractor; the push runs only
+    if some row has one.  xi is one 3-vector, giving one (value, standard
+    error) pair, or a (k, 3) array, giving a list of k pairs.  The samples
+    are drawn once per call and every frequency is reduced from them, one
+    at a time: a batch row equals the single-vector call bit for bit, and
+    identical seeds give bit-identical output.
 
     Decay along xi is only claimed for directions with a nonzero angular
     component (the unstable cone); purely fiber-directed frequencies probe
@@ -101,10 +104,6 @@ def mu_hat(
     """
     if samples < _MIN_SAMPLES:
         raise ValueError(f"samples must be >= {_MIN_SAMPLES}")
-    if 4.0 ** (-depth) > _FIBER_RESOLUTION:
-        raise ValueError(
-            f"depth leaves the fiber unresolved: need 4^-depth <= {_FIBER_RESOLUTION}"
-        )
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (3,) or xi.ndim > 2:
         raise ValueError("xi must be a 3-vector or a (k, 3) array")
@@ -117,7 +116,7 @@ def mu_hat(
     draws = sample(eq, samples, seed)
     reads_fiber = rows[:, 1:].any(axis=1)
     if reads_fiber.any():
-        thetas, xs, ys = push_forward(eq.spec, draws, depth)
+        thetas, xs, ys = push_forward(eq.spec, draws, _FIBER_DEPTH)
 
     results = []
     for row, fiber in zip(rows, reads_fiber):

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from solenoidlab.circle_map import (
+    circle_dist,
     coefficient_table,
+    f_eval,
     linear_spec,
-    lyapunov_periodic,
     lyapunov_target,
-    periodic_theta,
     verify_lattice,
 )
 from solenoidlab.cli import main as cli_main
@@ -81,8 +81,9 @@ def test_criterion_1_coefficient_exactness(spec):
     start = time.time()
     checks = []
     for N in range(2, 6):
-        theta, residual = periodic_theta(spec, N)
-        lam = lyapunov_periodic(spec, theta, N)
+        orbit = periodic_orbit(spec, N)
+        theta, lam = orbit.points[0].theta, orbit.unstable_exponent
+        residual = circle_dist(f_eval(spec, orbit.points[-1].theta)[0], theta)
         closed = LN2 + math.log1p(spec.alphas[N - 2] / 2.0) / N
         target = lyapunov_target(spec, N)
         checks.append((f"N={N} periodic residual {residual:.2e} < 1e-12", residual < 1e-12))
@@ -302,7 +303,7 @@ def test_criterion_8_fourier_decay(spec):
         ),
     ]
     for i, t in enumerate((10.0, 100.0, 1000.0)):
-        value, err = mu_hat(eq, (t, 0.0, 0.0), samples=1_000_000, depth=20, seed=100 + i)
+        value, err = mu_hat(eq, (t, 0.0, 0.0), samples=1_000_000, seed=100 + i)
         ref = nu_hat(eq, t)
         checks.append(
             (

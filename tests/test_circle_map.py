@@ -24,12 +24,11 @@ from solenoidlab.circle_map import (
     f_eval,
     g_eval,
     linear_spec,
-    lyapunov_periodic,
     lyapunov_target,
-    periodic_theta,
     verify_lattice,
 )
-from solenoidlab.solenoid import _QUARTER_PI_INV, push_forward
+from solenoidlab import solenoid
+from solenoidlab.solenoid import _QUARTER_PI_INV, periodic_orbit, push_forward
 
 # alpha_2 evaluated once at 60 digits and frozen; it doubles as the
 # regression constant for the coefficient table.
@@ -362,9 +361,17 @@ def test_no_scalar_branch_in_package():
 # periodic points and exponents
 # ---------------------------------------------------------------------------
 
+def _lattice_orbit(spec, N):
+    """The period-N orbit's first angle, its angular closure residual and its exponent."""
+    orbit = periodic_orbit(spec, N)
+    theta = orbit.points[0].theta
+    residual = circle_dist(f_eval(spec, orbit.points[-1].theta)[0], theta)
+    return theta, residual, orbit.unstable_exponent
+
+
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_periodic_theta(spec, N):
-    theta, residual = periodic_theta(spec, N)
+    theta, residual, _ = _lattice_orbit(spec, N)
     assert theta == 1.0 / (2.0**N - 1.0)
     assert residual < 1e-12
 
@@ -374,23 +381,22 @@ def test_longest_lattice_period_closes_and_the_next_is_rejected(kind):
     # 1/(2^52 - 1) is the last lattice point a double holds as a periodic point;
     # from 53 on the walk would miss by the point's own size, below the tolerance
     spec = coefficient_table(5, kind)
-    theta, residual = periodic_theta(spec, 52)
+    theta, residual, _ = _lattice_orbit(spec, 52)
     assert theta == 1.0 / (2.0**52 - 1.0)
     assert residual < 1e-30
     for N in (53, 1024):
         with pytest.raises(ValueError, match="at most 52"):
-            periodic_theta(spec, N)
+            periodic_orbit(spec, N)
 
 
 def test_lyapunov_linear_map():
-    lam = lyapunov_periodic(linear_spec(), 1.0 / 3.0, 2)
+    lam = periodic_orbit(linear_spec(), 2).unstable_exponent
     assert lam == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_lyapunov_matches_closed_form_and_target(spec, N):
-    theta, _ = periodic_theta(spec, N)
-    lam = lyapunov_periodic(spec, theta, N)
+    _, _, lam = _lattice_orbit(spec, N)
     alpha = spec.alphas[N - 2]
     closed = math.log(2.0) + math.log1p(alpha / 2.0) / N
     assert abs(lam - closed) < 1e-12
@@ -401,17 +407,24 @@ def test_lyapunov_target_regression(spec):
     assert lyapunov_target(spec, 2) == pytest.approx(E_BETA_2, abs=1e-15)
 
 
-def test_lyapunov_rejects_non_periodic(spec):
+def _orbit_from(monkeypatch, spec, theta, N):
+    """periodic_orbit(spec, N) started from theta in place of the lattice point."""
+    monkeypatch.setattr(solenoid, "_lattice_point", lambda n: theta)
+    return periodic_orbit(spec, N)
+
+
+def test_lyapunov_rejects_non_periodic(spec, monkeypatch):
     with pytest.raises(PeriodicityError):
-        lyapunov_periodic(spec, 0.123456, 3)
+        _orbit_from(monkeypatch, spec, 0.123456, 3)
 
 
-def test_lyapunov_closure_tolerance_is_the_periodic_one():
+def test_lyapunov_closure_tolerance_is_the_periodic_one(monkeypatch):
     # on the linear map the start 1/3 + 5e-12 returns 1.5e-11 away after two
     # steps: above the 1e-12 closure tolerance that criterion 1 claims
     with pytest.raises(PeriodicityError):
-        lyapunov_periodic(linear_spec(), 1.0 / 3.0 + 5e-12, 2)
-    assert lyapunov_periodic(linear_spec(), 1.0 / 3.0 + 1e-13, 2) == math.log(2.0)
+        _orbit_from(monkeypatch, linear_spec(), 1.0 / 3.0 + 5e-12, 2)
+    orbit = _orbit_from(monkeypatch, linear_spec(), 1.0 / 3.0 + 1e-13, 2)
+    assert orbit.unstable_exponent == math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

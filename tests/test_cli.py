@@ -346,6 +346,8 @@ def test_operation_error_exit_code(tmp_path):
         ("fourier", {"grid_m": 1024, "mu_samples": 1000, "mu_cross_t": [10.0, 1e200]}),
         ("fourier", {"grid_m": 1024, "mu_samples": 1000, "freq_count": 1030}),
         ("construct", {"n_max": 19}),
+        ("twisted", {"twist_steps": 1}),
+        ("expsum", {"eps0": 1e-18}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

@@ -8,6 +8,7 @@ import pytest
 from solenoidlab import fourier
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
+from solenoidlab.solenoid import push_forward
 from solenoidlab.thermo import GridFunction, mme_potential, nodes, solve_equilibrium
 
 
@@ -133,9 +134,20 @@ def test_mu_hat_rejects_malformed_xi(pert_eq):
             mu_hat(pert_eq, xi, samples=2_000)
 
 
-def test_mu_hat_rejects_shallow_depth(pert_eq):
-    with pytest.raises(ValueError):
+def test_mu_hat_rejects_shallow_depth(pert_eq, monkeypatch):
+    # fiber rows are pushed a fixed 20 steps, within 2 * 4^-20 of the
+    # attractor, so no caller can ask for a shallow push
+    with pytest.raises(TypeError, match="depth"):
         mu_hat(pert_eq, (1.0, 0.0, 0.0), samples=2_000, depth=10)
+    depths = []
+
+    def push(spec, thetas, depth):
+        depths.append(depth)
+        return push_forward(spec, thetas, depth)
+
+    monkeypatch.setattr(fourier, "push_forward", push)
+    mu_hat(pert_eq, (1.0, 1.0, 0.0), samples=2_000)
+    assert depths == [20]
 
 
 def test_decay_exponent_pure_power_law():

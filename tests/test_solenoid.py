@@ -14,7 +14,6 @@ from solenoidlab.circle_map import (
     circle_dist,
     coefficient_table,
     linear_spec,
-    lyapunov_periodic,
     lyapunov_target,
 )
 from solenoidlab.solenoid import (
@@ -261,8 +260,11 @@ def test_periodic_orbit_matches_step_walk_and_lyapunov_periodic(kind, n_max):
             derivs.append(d)
         assert orbit.points == tuple(walk), N
         assert orbit.derivs == tuple(derivs), N
-        exponent = lyapunov_periodic(spec, orbit.points[0].theta, N)
-        assert _bits(orbit.unstable_exponent) == _bits(exponent), N
+        # the mean of the walk's log-derivatives, summed in walk order
+        exponent = 0.0
+        for d in derivs:
+            exponent += np.log(d)
+        assert _bits(orbit.unstable_exponent) == _bits(exponent / N), N
 
 
 def _bits(x):
@@ -311,7 +313,4 @@ def test_one_orbit_closure_error_in_package():
             if path.name == "solenoid.py" and isinstance(node, ast.ClassDef):
                 bases = [str(name(base)) for base in node.bases]
                 assert not any(b.endswith(("Error", "Exception")) for b in bases), node.name
-    assert sorted(raised) == [
-        ("circle_map.py", "PeriodicityError"),
-        ("solenoid.py", "PeriodicityError"),
-    ]
+    assert sorted(raised) == [("solenoid.py", "PeriodicityError")]
