@@ -100,6 +100,10 @@ _BOUNDS = {
 }
 
 
+# The smallest step in ln eta between expsum's etas (see _etas).
+_MIN_LOG_STEP = 1e-10
+
+
 class ConfigError(Exception):
     """Configuration failed validation."""
 
@@ -190,7 +194,7 @@ def _validate(config: dict) -> np.ndarray | None:
             f"N^(expsum_k - 1) = 2^((zeta_n + 1) * (expsum_k - 1)) must be at most the fold limit "
             f"{_FOLD_LIMIT:,}: zeta_n <= {bits // 2 - 1} at expsum_k = 3, <= {bits // 3 - 1} at 4"
         )
-    _etas(config)  # raises when the largest eta overflows or the window has zero width
+    _etas(config)  # raises when the largest eta overflows or the etas lie too close
     if not config["sigma_lo"] < config["sigma_hi"]:
         raise ConfigError("need sigma_lo < sigma_hi")
     levels = config["deviation_levels"]
@@ -220,9 +224,14 @@ def _etas(config: dict) -> np.ndarray:
     if not np.isfinite(top):
         raise ConfigError(f"the largest eta, e^(2 eps0 zeta_n) = e^{2 * eps0 * n:g}, overflows")
     etas = np.geomspace(np.exp(eps0 * n / 2.0), top, config["eta_count"])
-    # a vanishing eps0 rounds every eta to 1.0, and a slope needs two distinct etas
-    if not etas[0] < etas[-1]:
-        raise ConfigError(f"eps0 = {eps0!r} gives an eta window of zero width at {float(etas[0])!r}")
+    # ln eta steps by 1.5 eps0 zeta_n / (eta_count - 1); rounding moves each ln
+    # eta by at most ~1.1e-16, a millionth of the smallest step allowed, so a
+    # fitted slope reads the window and not the rounding
+    step = 1.5 * eps0 * n / (config["eta_count"] - 1)
+    if not (step >= _MIN_LOG_STEP and (np.diff(etas) > 0).all()):
+        raise ConfigError(
+            f"eps0 = {eps0!r} steps ln eta by {step:.3g}; the fitted slope needs at least {_MIN_LOG_STEP:g}"
+        )
     return etas
 
 

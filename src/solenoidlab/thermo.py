@@ -456,6 +456,12 @@ def regular_words(
 # sampling
 # ---------------------------------------------------------------------------
 
+# sample searches and solves this many draws at a time, so a block's dozen
+# float and index temporaries (~1.6 MB together) stay near cache instead of
+# each spanning every draw.
+_SAMPLE_BLOCK = 1 << 14
+
+
 def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
     """count i.i.d. draws from nu by inverting the piecewise-quadratic CDF.
 
@@ -464,31 +470,38 @@ def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
     of a binary search per draw.  key(x) = floor(x m / total) is monotone in
     x, so the last node whose key is below key(u) (node 0 if none is) lies
     below u; each draw starts there and steps forward while the next node is
-    still <= u.
+    still <= u.  The uniforms come from one rng.random(count) call; the
+    search and the root then run over blocks of _SAMPLE_BLOCK = 2^14 draws,
+    each written back over its own uniforms, so only the returned array,
+    about 8 bytes per draw, is kept at full length.  Every step is
+    elementwise, so the blocks give the same bits as one pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     cdf, total = _node_cdf(eq)
-    u = rng.random(count) * total
+    draws = rng.random(count) * total  # each block's u, overwritten by its draws
     rho = eq.density.values
     m = eq.m
     scale = m / total
     keys = (cdf * scale).astype(np.intp)
     guide = np.maximum(np.searchsorted(keys, np.arange(keys[-1] + 1)) - 1, 0)
     upper = np.append(cdf[1:], np.inf)  # upper[j] = cdf[j + 1]; none past the last node
-    j = guide[(u * scale).astype(np.intp)]
-    ahead = np.flatnonzero(upper[j] <= u)
-    while ahead.size:  # in place, on the draws still short of their cell
-        j[ahead] += 1
-        ahead = ahead[upper[j[ahead]] <= u[ahead]]
-    j = np.clip(j, 0, m - 1)
-    local = (u - cdf[j]) * m  # mass to absorb inside cell j, times m
-    a = rho[j]
-    b = rho[(j + 1) % m] - rho[j]
-    # solve a t + b t^2 / 2 = local for t in [0, 1]; the root (disc - a) / b,
-    # rationalized, cancels nowhere and needs no branch for b near 0
-    disc = np.sqrt(np.maximum(a * a + 2.0 * b * local, 0.0))
-    t = 2.0 * local / (a + disc)
-    t = np.clip(t, 0.0, 1.0)
-    return (j + t) / m
+    for start in range(0, count, _SAMPLE_BLOCK):
+        u = draws[start : start + _SAMPLE_BLOCK]  # a view into draws
+        j = guide[(u * scale).astype(np.intp)]
+        ahead = np.flatnonzero(upper[j] <= u)
+        while ahead.size:  # in place, on the draws still short of their cell
+            j[ahead] += 1
+            ahead = ahead[upper[j[ahead]] <= u[ahead]]
+        j = np.clip(j, 0, m - 1)
+        local = (u - cdf[j]) * m  # mass to absorb inside cell j, times m
+        a = rho[j]
+        b = rho[(j + 1) % m] - rho[j]
+        # solve a t + b t^2 / 2 = local for t in [0, 1]; the root (disc - a) / b,
+        # rationalized, cancels nowhere and needs no branch for b near 0
+        disc = np.sqrt(np.maximum(a * a + 2.0 * b * local, 0.0))
+        t = 2.0 * local / (a + disc)
+        t = np.clip(t, 0.0, 1.0)
+        np.divide(j + t, m, out=u)
+    return draws

@@ -348,6 +348,7 @@ def test_operation_error_exit_code(tmp_path):
         ("construct", {"n_max": 19}),
         ("twisted", {"twist_steps": 1}),
         ("expsum", {"eps0": 1e-18}),
+        ("expsum", {"eps0": 1e-16}),
     ],
 )
 def test_meaningless_config_rejected_before_artifacts(tmp_path, experiment, bad):

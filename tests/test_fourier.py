@@ -1,6 +1,7 @@
 """Fourier transforms of the equilibrium measures and power-law fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_mu_hat_batch_matches_single_calls(pert_eq):
     assert batch == singles  # bit for bit, value and stderr
     assert mu_hat(pert_eq, xis[:1], samples=5_000, seed=21) == singles[:1]
     assert mu_hat(pert_eq, np.zeros((0, 3)), samples=5_000) == []
+
+
+def test_mu_hat_holds_one_frequency_at_a_time():
+    # per fiberless row: the draws, one complex array and var's real temporary,
+    # about 32 bytes per draw; phase kept beside them adds 8, and a one-pass
+    # sample peaks at 64.8
+    eq = solve_equilibrium(coefficient_table(5), mme_potential(1 << 12))
+    samples = 1 << 18
+    tracemalloc.start()
+    try:
+        mu_hat(eq, [(10.0, 0.0, 0.0), (-3.0, 0.0, 0.0)], samples=samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * samples
 
 
 def test_mu_hat_pushes_the_fiber_only_when_a_frequency_reads_it(pert_eq, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -636,6 +637,33 @@ def test_sample_cells_match_binary_search_at_the_edges(kind):
     r = np.clip(np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]), 0.0, 1.0)
     assert r.max() * total == total
     assert np.array_equal(_sample_bits(eq, r), _binary_search_bits(eq, r))
+
+
+@pytest.mark.parametrize("count", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 7])
+def test_sample_blocks_match_binary_search_at_block_edges(count):
+    # sample runs its cell search and root over blocks of 2^14 draws; a count
+    # either side of a block edge, or ending in a short block, must give the
+    # same bits as one pass, and a shorter run is a prefix of a longer one
+    assert thermo._SAMPLE_BLOCK == 1 << 14
+    eq, seed = _sampling_eq("sin"), 12
+    r = np.random.default_rng(seed).random(count)
+    got = sample(eq, count, seed)
+    assert np.array_equal(got.view(np.int64), _binary_search_bits(eq, r))
+    assert np.array_equal(got, sample(eq, 4 << 14, seed)[:count])
+
+
+def test_sample_keeps_only_its_draws_at_full_length(spec):
+    # a one-pass sample traces 64.8 bytes per draw in full-length temporaries;
+    # the blocked one keeps the draws and one block's temporaries
+    eq = solve_equilibrium(spec, mme_potential(M))
+    count = 1 << 18
+    tracemalloc.start()
+    try:
+        sample(eq, count, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * count
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=50)
