@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from operator import itemgetter
-import mpmath
+
 import numpy as np
 
 __all__ = [
@@ -169,22 +170,26 @@ def coefficient_table(n_max: int, bump_kind: str = "exp") -> PerturbationSpec:
     """Build the coefficient family for orders N = 2..n_max, n_max <= _MAX_ORDER.
 
     beta_N = floor(10^(N^2) lnln2) / 10^(N^2) held exactly; alpha_N =
-    2 (2^-N exp(N e^{beta_N}) - 1) evaluated with at least 50 significant
-    digits before rounding.  n_max = 1 returns the empty table (linear map).
+    2 (2^-N exp(N e^{beta_N}) - 1) evaluated in decimal arithmetic with
+    max(60, N^2 + 25) significant digits, of which the subtraction cancels
+    about N^2, before rounding to a double.  lnln2 carries max(60, n_max^2
+    + 25) digits, 25 past the last one any floor reads.  n_max = 1 returns
+    the empty table (linear map).
     """
     _check_order(n_max)
     betas: list[Fraction] = []
     alphas: list[float] = []
-    with mpmath.workdps(max(60, n_max * n_max + 25)):
-        lnln2 = mpmath.log(mpmath.log(2))
-        for n in range(2, n_max + 1):
-            den = 10 ** (n * n)
-            num = int(mpmath.floor(lnln2 * den))
-            beta = Fraction(num, den)
-            beta_mp = mpmath.mpf(num) / den
-            alpha = 2 * (mpmath.mpf(2) ** (-n) * mpmath.exp(n * mpmath.exp(beta_mp)) - 1)
-            betas.append(beta)
-            alphas.append(float(alpha))
+    with localcontext(prec=max(60, n_max * n_max + 25)):
+        lnln2 = Decimal(2).ln().ln()
+        nums = [
+            int(lnln2.scaleb(n * n).to_integral_value(ROUND_FLOOR)) for n in range(2, n_max + 1)
+        ]
+    for n, num in enumerate(nums, start=2):
+        betas.append(Fraction(num, 10 ** (n * n)))
+        with localcontext(prec=max(60, n * n + 25)):
+            beta = Decimal(num).scaleb(-n * n)
+            alpha = 2 * (Decimal(2) ** -n * (n * beta.exp()).exp() - 1)
+        alphas.append(float(alpha))
     return PerturbationSpec(n_max, tuple(betas), tuple(alphas), bump_kind)
 
 
@@ -198,8 +203,8 @@ def lyapunov_target(spec: PerturbationSpec, N: int) -> float:
     if not 2 <= N <= spec.n_max:
         raise ValueError(f"N must be in 2..{spec.n_max}")
     beta = spec.betas[N - 2]
-    with mpmath.workdps(60):
-        return float(mpmath.exp(mpmath.mpf(beta.numerator) / beta.denominator))
+    with localcontext(prec=60):
+        return float((Decimal(beta.numerator) / beta.denominator).exp())
 
 
 # ---------------------------------------------------------------------------

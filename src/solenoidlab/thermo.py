@@ -6,16 +6,18 @@ branches of e^{psi(y)} h(y) becomes a sparse matrix with four entries per
 row, power iteration on it and its transpose yields the pressure e^P,
 the eigenfunction h and the invariant density rho, and the normalized
 potential phi = psi - P + ln h - ln h o f closes the loop (L_phi 1 = 1,
-L_phi^* nu = nu).  Everything downstream - Gibbs ratios over cylinders,
-ball-mass regularity, large-deviation profiles, regular words, sampling -
-reads off the resulting EquilibriumData.
+L_phi^* nu = nu).  The matrices of one grid differ only in their weights:
+the preimages, their cells and the CSR structure are solved once per
+(spec, grid) into a cached stencil.  Everything downstream - Gibbs ratios
+over cylinders, ball-mass regularity, large-deviation profiles, regular
+words, sampling - reads off the resulting EquilibriumData.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,9 +95,13 @@ def _cell(x, m: int):
     return j, (j + 1) % m, t - np.floor(t)
 
 
-def _interp_periodic(values: np.ndarray, x):
-    j, right, frac = _cell(x, values.shape[0])
+def _interp_cells(values: np.ndarray, j, right, frac):
+    """values interpolated linearly at offset frac between nodes j and right."""
     return values[j] * (1.0 - frac) + values[right] * frac
+
+
+def _interp_periodic(values: np.ndarray, x):
+    return _interp_cells(values, *_cell(x, values.shape[0]))
 
 
 def nodes(m: int) -> np.ndarray:
@@ -117,19 +123,52 @@ def srb_potential(spec: PerturbationSpec, m: int) -> GridFunction:
 # transfer operator
 # ---------------------------------------------------------------------------
 
+class _Stencil(NamedTuple):
+    """The weight-free part of every transfer matrix on one grid.
+
+    branches[a] holds, for the branch-a preimage y of each node, its cell j,
+    the right node j + 1 mod m (both int32), the offset of y in the cell and
+    ln f'(y).  Row i of the CSR matrix has four slots, filled in the order
+    (j_0, j_0 + 1, j_1, j_1 + 1); indices lists those columns in ascending
+    order within each row, as scipy's COO conversion sorted them, and
+    indptr = 4 arange(m + 1).  Only in the rows wrap_rows, where a branch-1
+    cell ends at node m - 1 so its right node wraps to 0, is the slot order
+    not the column order; np.take_along_axis(row, wrap_order[k]) sorts the
+    k-th of them.  Every array is read-only.
+    """
+
+    branches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    indices: np.ndarray
+    indptr: np.ndarray
+    wrap_rows: np.ndarray
+    wrap_order: np.ndarray
+
+
 @functools.lru_cache(maxsize=1)
-def _preimage_data(spec: PerturbationSpec, m: int):
-    """Preimage points of every node under both branches, with f' there.
+def _stencil(spec: PerturbationSpec, m: int) -> _Stencil:
+    """Both inverse branches of every node and the shared CSR structure.
 
     Memoized for the last (spec, m), so the transfer matrices of one grid
-    share one solve; the arrays are read-only because every caller gets them.
+    share one solve and one structure; the arrays are read-only because
+    every caller, and every matrix built on them, shares them.
     """
     y, deriv = preimage_tree(spec, nodes(m), 1)
-    ys = tuple(_mod1(y))
-    fps = tuple(1.0 / deriv)
-    for arr in ys + fps:
+    branches = []
+    for ya, da in zip(_mod1(y), deriv):
+        j, right, frac = _cell(ya, m)
+        branches.append((j.astype(np.int32), right.astype(np.int32), frac, np.log(1.0 / da)))
+    # The C^1 budget keeps |g'| < 1, so f' lies in (1, 3): each arc between the
+    # two preimages of a node maps onto a full turn, so both arcs are longer
+    # than 1/3, and with m >= 1024 the four columns of a row are distinct.  No
+    # row ever held a duplicate, and the COO build never summed one.
+    cols = np.stack([c for j, right, _, _ in branches for c in (j, right)], axis=1)
+    wrap_rows = np.flatnonzero((cols[:, 1:] < cols[:, :-1]).any(axis=1))
+    wrap_order = np.argsort(cols[wrap_rows], axis=1)
+    cols[wrap_rows] = np.take_along_axis(cols[wrap_rows], wrap_order, axis=1)
+    indptr = np.arange(0, 4 * m + 1, 4, dtype=np.int32)
+    for arr in [a for branch in branches for a in branch] + [cols, indptr, wrap_rows, wrap_order]:
         arr.setflags(write=False)
-    return ys, fps
+    return _Stencil(tuple(branches), cols.ravel(), indptr, wrap_rows, wrap_order)
 
 
 def transfer_matrix(
@@ -139,26 +178,23 @@ def transfer_matrix(
 
     Row i holds, for each inverse branch y of node i, the weight
     e^{potential(y)} (times the oscillatory factor when twist != 0) spread
-    over the two grid nodes bracketing y.
+    over the two grid nodes bracketing y.  The cells, offsets, ln f' and the
+    CSR structure come from the grid's cached _stencil; a build computes
+    only the 4m weights, and every matrix of one grid shares indices and
+    indptr.
     """
     m = potential.m
-    ys, fps = _preimage_data(spec, m)
-    dtype = complex if twist else float
-    rows = np.tile(np.arange(m), 4)
-    cols = np.empty(4 * m, dtype=int)
-    data = np.empty(4 * m, dtype=dtype)
-    for k, (y, fp) in enumerate(zip(ys, fps)):
-        w = np.exp(potential(y))
+    stencil = _stencil(spec, m)
+    data = np.empty((m, 4), dtype=complex if twist else float)
+    for k, (j, right, frac, log_fp) in enumerate(stencil.branches):
+        w = np.exp(_interp_cells(potential.values, j, right, frac))
         if twist:
-            w = w * np.exp(1j * twist * np.log(fp))
-        j, right, frac = _cell(y, m)
-        sl = slice(2 * k * m, (2 * k + 1) * m)
-        sr = slice((2 * k + 1) * m, (2 * k + 2) * m)
-        cols[sl] = j
-        data[sl] = w * (1.0 - frac)
-        cols[sr] = right
-        data[sr] = w * frac
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
+            w = w * np.exp(1j * twist * log_fp)
+        np.multiply(w, 1.0 - frac, out=data[:, 2 * k])
+        np.multiply(w, frac, out=data[:, 2 * k + 1])
+    rows = stencil.wrap_rows
+    data[rows] = np.take_along_axis(data[rows], stencil.wrap_order, axis=1)
+    return sp.csr_matrix((data.ravel(), stencil.indices, stencil.indptr), shape=(m, m))
 
 
 def transfer_apply(
@@ -167,10 +203,10 @@ def transfer_apply(
     """L_potential h on the shared grid: sum over the two preimages of each node."""
     if potential.m != h.m:
         raise ValueError("potential and h must share the grid size")
-    ys, _ = _preimage_data(spec, potential.m)
     out = np.zeros(potential.m)
-    for y in ys:
-        out += np.exp(potential(y)) * h(y)
+    for j, right, frac, _ in _stencil(spec, potential.m).branches:
+        weight = np.exp(_interp_cells(potential.values, j, right, frac))
+        out += weight * _interp_cells(h.values, j, right, frac)
     return GridFunction(out)
 
 
@@ -232,6 +268,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
         raise SpectralConvergenceError(
             f"power iteration did not converge in {_EIG_SWEEPS} sweeps (tol {_EIG_TOL:.1e})"
         )
+    del mat, mat_t, h_new, rho_new  # freed before the phi matrix is built
 
     if h.min() <= 0.0:
         raise SpectralConvergenceError("eigenfunction lost positivity")

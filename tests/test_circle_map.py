@@ -59,6 +59,31 @@ def test_table_order_stops_at_the_last_nonzero_alpha():
             make()
 
 
+def _mpmath_table(n_max):
+    """betas and alphas of order n_max in mpmath at max(60, n_max^2 + 25) digits."""
+    with mpmath.workdps(max(60, n_max * n_max + 25)):
+        lnln2 = mpmath.log(mpmath.log(2))
+        nums = [int(mpmath.floor(lnln2 * 10 ** (n * n))) for n in range(2, n_max + 1)]
+        betas = [mpmath.mpf(num) / 10 ** (n * n) for n, num in enumerate(nums, start=2)]
+        alphas = [
+            float(2 * (mpmath.mpf(2) ** -n * mpmath.exp(n * mpmath.exp(beta)) - 1))
+            for n, beta in enumerate(betas, start=2)
+        ]
+    return [Fraction(num, 10 ** (n * n)) for n, num in enumerate(nums, start=2)], alphas
+
+
+@pytest.mark.parametrize("n_max", range(1, _MAX_ORDER + 1))
+def test_table_matches_mpmath_at_every_order(n_max):
+    spec = coefficient_table(n_max)
+    betas, alphas = _mpmath_table(n_max)
+    assert list(spec.betas) == betas
+    assert [a.hex() for a in spec.alphas] == [a.hex() for a in alphas]
+    with mpmath.workdps(60):
+        for n, beta in enumerate(betas, start=2):
+            want = float(mpmath.exp(mpmath.mpf(beta.numerator) / beta.denominator))
+            assert lyapunov_target(spec, n).hex() == want.hex()
+
+
 def test_beta_2_exact_value(spec):
     assert spec.betas[0] == Fraction(-3666, 10**4)
 

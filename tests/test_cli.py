@@ -529,6 +529,19 @@ def test_python_m_runs_from_checkout(tmp_path):
     assert (tmp_path / "coefficients.json").exists()
 
 
+def test_package_import_leaves_mpmath_unloaded():
+    # the coefficient table computes in decimal; mpmath stays a test dependency
+    src = Path(solenoidlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    code = "import sys, solenoidlab.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # every subcommand's flags and the config key each sets: a flag reaches only
 # the subcommands whose runners read its key, 40 (flag, subcommand) pairs
 _SHARED_FLAGS = {"--n-max": "n_max", "--bump-kind": "bump_kind"}

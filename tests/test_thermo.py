@@ -7,10 +7,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from solenoidlab import symbolic, thermo
 from solenoidlab.circle_map import (
+    BUMP_KINDS,
     _mod1,
     bump_chi,
     circle_dist,
@@ -102,11 +104,16 @@ def test_transfer_adjoint_consistency(spec):
 
 @pytest.fixture
 def fresh_preimages():
-    # the preimage memo lives for the process; empty it around each test that
+    # the stencil memo lives for the process; empty it around each test that
     # counts or compares its entries, so test order cannot matter
-    thermo._preimage_data.cache_clear()
+    thermo._stencil.cache_clear()
     yield
-    thermo._preimage_data.cache_clear()
+    thermo._stencil.cache_clear()
+
+
+def _stencil_arrays(stencil):
+    """Every array of a stencil: each branch's four, then indices, indptr and the wrap rows."""
+    return [arr for branch in stencil.branches for arr in branch] + list(stencil[1:])
 
 
 def test_preimages_solved_once_per_spec_and_grid(spec, fresh_preimages, monkeypatch):
@@ -126,32 +133,119 @@ def test_preimages_solved_once_per_spec_and_grid(spec, fresh_preimages, monkeypa
 
 
 def test_cached_preimages_are_read_only(spec, fresh_preimages):
-    ys, fps = thermo._preimage_data(spec, 1 << 10)
-    for arr in ys + fps:
+    # the CSR indices and indptr among them: every matrix of the grid shares
+    # them, so no scipy call on one matrix may rewrite them for the others
+    for arr in _stencil_arrays(thermo._stencil(spec, 1 << 10)):
         with pytest.raises(ValueError):
-            arr[0] = 0.5
+            arr[0] = 1
 
 
 @pytest.mark.parametrize("m", [1 << 10, 1 << 14])
 def test_preimages_match_one_symbol_words_bit_for_bit(spec, fresh_preimages, m):
-    ys, fps = thermo._preimage_data(spec, m)
+    stencil = thermo._stencil(spec, m)
     for a in (0, 1):
         y, deriv = apply_word(spec, (a,), nodes(m))
-        assert np.array_equal(ys[a].view(np.int64), _mod1(y).view(np.int64))
-        assert np.array_equal(fps[a].view(np.int64), (1.0 / deriv).view(np.int64))
+        j, right, frac, log_fp = stencil.branches[a]
+        want_j, want_right, want_frac = thermo._cell(_mod1(y), m)
+        assert j.dtype == right.dtype == np.int32
+        assert np.array_equal(j, want_j) and np.array_equal(right, want_right)
+        assert np.array_equal(frac.view(np.int64), want_frac.view(np.int64))
+        assert np.array_equal(log_fp.view(np.int64), np.log(1.0 / deriv).view(np.int64))
 
 
 def test_preimages_follow_spec_and_grid(spec, fresh_preimages):
     smooth = coefficient_table(5, "smoothstep")
     m = 1 << 10
-    exp_ys = thermo._preimage_data(spec, m)[0]
+    exp_frac = thermo._stencil(spec, m).branches[0][2]
     for key in ((smooth, m), (spec, 2 * m), (spec, m)):
-        ys, fps = thermo._preimage_data(*key)
-        uncached = thermo._preimage_data.__wrapped__(*key)
-        for got, want in zip(ys + fps, uncached[0] + uncached[1]):
+        cached = _stencil_arrays(thermo._stencil(*key))
+        uncached = _stencil_arrays(thermo._stencil.__wrapped__(*key))
+        assert len(cached) == len(uncached)
+        for got, want in zip(cached, uncached):
             assert np.array_equal(got, want)
     # the two bump kinds move the preimages, so a memo keyed on m alone fails above
-    assert not np.array_equal(thermo._preimage_data.__wrapped__(smooth, m)[0][0], exp_ys[0])
+    assert not np.array_equal(thermo._stencil.__wrapped__(smooth, m).branches[0][2], exp_frac)
+
+
+def _coo_transfer_matrix(spec, potential, twist=0.0):
+    """The transfer matrix as a COO triple converted by scipy, cells found per build."""
+    m = potential.m
+    y, deriv = symbolic.preimage_tree(spec, nodes(m), 1)
+    rows = np.tile(np.arange(m), 4)
+    cols = np.empty(4 * m, dtype=int)
+    data = np.empty(4 * m, dtype=complex if twist else float)
+    for k, (ya, fp) in enumerate(zip(_mod1(y), 1.0 / deriv)):
+        w = np.exp(potential(ya))
+        if twist:
+            w = w * np.exp(1j * twist * np.log(fp))
+        j, right, frac = thermo._cell(ya, m)
+        sl = slice(2 * k * m, (2 * k + 1) * m)
+        sr = slice((2 * k + 1) * m, (2 * k + 2) * m)
+        cols[sl] = j
+        data[sl] = w * (1.0 - frac)
+        cols[sr] = right
+        data[sr] = w * frac
+    return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
+
+
+@pytest.mark.parametrize("twist", [0.0, 100.0, 1e4])
+@pytest.mark.parametrize("m", [1 << 10, 1 << 14])
+@pytest.mark.parametrize("kind", ["exp", "smoothstep", "linear"])
+def test_transfer_matrix_matches_the_coo_build_bit_for_bit(kind, m, twist):
+    spec_ = linear_spec() if kind == "linear" else coefficient_table(5, kind)
+    pot = GridFunction(srb_potential(spec_, m).values + 0.3 * np.sin(2 * np.pi * nodes(m)))
+    got = transfer_matrix(spec_, pot, twist)
+    want = _coo_transfer_matrix(spec_, pot, twist)
+    # rows whose slots are out of column order exist, so the permutation ran
+    assert thermo._stencil(spec_, m).wrap_rows.size > 0
+    assert got.shape == want.shape
+    # dtype and bits: tobytes differs on a -0.0 or a NaN payload that == misses
+    for name in ("data", "indices", "indptr"):
+        got_arr, want_arr = getattr(got, name), getattr(want, name)
+        assert got_arr.dtype == want_arr.dtype
+        assert got_arr.tobytes() == want_arr.tobytes()
+    x = np.random.default_rng(m).standard_normal(m)
+    assert (got @ x).tobytes() == (want @ x).tobytes()
+    assert (got.T @ x).tobytes() == (want.T @ x).tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(n_max=st.integers(1, 18), kind=st.sampled_from(BUMP_KINDS), log_m=st.integers(10, 14))
+def test_property_stencil_columns_strictly_increase(n_max, kind, log_m):
+    # The C^1 budget below 1 gives f' in (1, 3), so the two preimages of a node
+    # are more than 1/3 apart both ways round the circle: the four bracketing
+    # nodes of a row are distinct, and sorting them leaves them strictly
+    # increasing.  The COO build therefore never summed a duplicate entry.
+    m = 1 << log_m
+    stencil = thermo._stencil(coefficient_table(n_max, kind), m)
+    assert np.array_equal(stencil.indptr, 4 * np.arange(m + 1))
+    assert np.all(np.diff(stencil.indices.reshape(m, 4), axis=1) > 0)
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        (transfer_matrix, 80),
+        (lambda spec, pot: transfer_matrix(spec, pot, 1e4), 140),
+        (solve_equilibrium, 150),
+    ],
+    ids=["real", "complex", "solve"],
+)
+def test_transfer_builds_fill_in_only_their_weights(spec, build, bound):
+    # On a warm stencil a build allocates its 4m weights (32 bytes per node,
+    # 64 twisted) and a few per-branch temporaries: 57 and 104 bytes per node
+    # traced, and 120 for the solve, which frees the psi matrix before it
+    # builds the phi matrix.  The COO build traced 212 and 284, the solve 336.
+    m = 1 << 16
+    pot = srb_potential(spec, m)
+    transfer_matrix(spec, pot)
+    tracemalloc.start()
+    try:
+        build(spec, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * m
 
 
 def test_solve_reports_nonconvergence(spec, monkeypatch):
