@@ -179,14 +179,16 @@ def coefficient_table(n_max: int, bump_kind: str = "exp") -> PerturbationSpec:
     _check_order(n_max)
     betas: list[Fraction] = []
     alphas: list[float] = []
-    with localcontext(prec=max(60, n_max * n_max + 25)):
+    with localcontext() as ctx:
+        ctx.prec = max(60, n_max * n_max + 25)
         lnln2 = Decimal(2).ln().ln()
         nums = [
             int(lnln2.scaleb(n * n).to_integral_value(ROUND_FLOOR)) for n in range(2, n_max + 1)
         ]
     for n, num in enumerate(nums, start=2):
         betas.append(Fraction(num, 10 ** (n * n)))
-        with localcontext(prec=max(60, n * n + 25)):
+        with localcontext() as ctx:
+            ctx.prec = max(60, n * n + 25)
             beta = Decimal(num).scaleb(-n * n)
             alpha = 2 * (Decimal(2) ** -n * (n * beta.exp()).exp() - 1)
         alphas.append(float(alpha))
@@ -203,7 +205,8 @@ def lyapunov_target(spec: PerturbationSpec, N: int) -> float:
     if not 2 <= N <= spec.n_max:
         raise ValueError(f"N must be in 2..{spec.n_max}")
     beta = spec.betas[N - 2]
-    with localcontext(prec=60):
+    with localcontext() as ctx:
+        ctx.prec = 60
         return float((Decimal(beta.numerator) / beta.denominator).exp())
 
 

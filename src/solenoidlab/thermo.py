@@ -181,7 +181,9 @@ def transfer_matrix(
     over the two grid nodes bracketing y.  The cells, offsets, ln f' and the
     CSR structure come from the grid's cached _stencil; a build computes
     only the 4m weights, and every matrix of one grid shares indices and
-    indptr.
+    indptr.  That structure is read-only: an in-place structural call such
+    as eliminate_zeros() raises ValueError, so take .copy() first.  Rows keep
+    explicit zeros wherever a preimage falls on a node (frac == 0).
     """
     m = potential.m
     stencil = _stencil(spec, m)

@@ -140,6 +140,24 @@ def test_cached_preimages_are_read_only(spec, fresh_preimages):
             arr[0] = 1
 
 
+def test_transfer_matrix_structure_is_shared_and_read_only(fresh_preimages):
+    # the linear map's preimages sit on nodes, so its rows hold explicit zeros
+    # that eliminate_zeros() would strip by rewriting the shared structure
+    spec = linear_spec()
+    m = 1 << 10
+    mat = transfer_matrix(spec, GridFunction.constant(0.0, m))
+    stencil = thermo._stencil(spec, m)
+    assert np.shares_memory(mat.indices, stencil.indices)
+    assert np.shares_memory(mat.indptr, stencil.indptr)
+    assert np.count_nonzero(mat.data == 0.0) > 0
+    with pytest.raises(ValueError):
+        mat.eliminate_zeros()
+    private = mat.copy()
+    private.eliminate_zeros()
+    assert private.nnz < mat.nnz == 4 * m
+    assert np.array_equal(stencil.indptr, np.arange(0, 4 * m + 1, 4))
+
+
 @pytest.mark.parametrize("m", [1 << 10, 1 << 14])
 def test_preimages_match_one_symbol_words_bit_for_bit(spec, fresh_preimages, m):
     stencil = thermo._stencil(spec, m)
