@@ -97,8 +97,9 @@ def mu_hat(
     are drawn once per call and every frequency is reduced from them, one
     at a time: a batch row equals the single-vector call bit for bit, and
     identical seeds give bit-identical output.  A fiberless frequency holds
-    the draws, one complex array and one real temporary, about 32 bytes per
-    draw.
+    the draws and one complex array, about 24 bytes per draw: the phase is
+    written into that array's imaginary part and the variance is taken in
+    place.
 
     Decay along xi is only claimed for directions with a nonzero angular
     component (the unstable cone); purely fiber-directed frequencies probe
@@ -120,21 +121,29 @@ def mu_hat(
     if reads_fiber.any():
         thetas, xs, ys = push_forward(eq.spec, draws, _FIBER_DEPTH)
 
+    # one complex array serves every frequency: its imaginary part takes the
+    # phase and its real part 0, the 1j * phase of the textbook form
+    vals = np.empty(samples, dtype=complex)
+    re, im = vals.real, vals.imag
     results = []
     for row, fiber in zip(rows, reads_fiber):
+        re.fill(0.0)
         if fiber:
-            phase = row[0] * thetas
-            phase += row[1] * xs
-            phase += row[2] * ys
+            np.multiply(row[0], thetas, out=im)
+            im += row[1] * xs
+            im += row[2] * ys
         else:
-            phase = row[0] * draws
-        vals = 1j * phase
-        del phase  # from here one frequency holds vals and var's real temporary
-        np.exp(vals, out=vals)  # in place: one complex array per frequency
+            np.multiply(row[0], draws, out=im)
+        im += 0.0  # 1j * phase has imaginary part 0.0 + phase, so no -0.0
+        np.exp(vals, out=vals)
         value = complex(vals.mean())
-        var = vals.real.var() + vals.imag.var()
+        # each part's variance as ndarray.var takes it (sum, divide, subtract,
+        # square, sum, divide), bit for bit, in place instead of in a temporary
+        for part in (re, im):
+            part -= part.sum() / samples
+            part *= part
+        var = re.sum() / samples + im.sum() / samples
         results.append((value, float(np.sqrt(var / samples))))
-        del vals  # before the next frequency's phase exists
     return results[0] if xi.ndim == 1 else results
 
 

@@ -63,7 +63,13 @@ def _grid_ok(m: int) -> bool:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function on m uniform circle nodes with wraparound linear interpolation."""
+    """Real function on m uniform circle nodes with wraparound linear interpolation.
+
+    values is read-only.  A writable array of the caller's, or a view of
+    one, is copied, so the caller's stays writable and cannot change this
+    one; a read-only array is shared, and any other input is converted into
+    a new array that only this object holds.
+    """
 
     values: np.ndarray
 
@@ -73,6 +79,9 @@ class GridFunction:
             raise ValueError(f"grid size must be a power of two >= {_MIN_GRID}")
         if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
+        if vals.flags.writeable and (vals is self.values or vals.base is not None):
+            vals = vals.copy()
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -84,7 +93,14 @@ class GridFunction:
 
     @classmethod
     def constant(cls, c: float, m: int) -> "GridFunction":
-        return cls(np.full(m, float(c)))
+        return cls(_frozen(np.full(m, float(c))))
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """values made read-only, for a caller that hands its array to a GridFunction
+    to share rather than copy."""
+    values.setflags(write=False)
+    return values
 
 
 def _cell(x, m: int):
@@ -116,7 +132,7 @@ def mme_potential(m: int) -> GridFunction:
 def srb_potential(spec: PerturbationSpec, m: int) -> GridFunction:
     """Geometric potential -ln f', whose equilibrium state is the SRB measure."""
     _, fp = f_eval(spec, nodes(m))
-    return GridFunction(-np.log(fp))
+    return GridFunction(_frozen(-np.log(fp)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +225,7 @@ def transfer_apply(
     for j, right, frac, _ in _stencil(spec, potential.m).branches:
         weight = np.exp(_interp_cells(potential.values, j, right, frac))
         out += weight * _interp_cells(h.values, j, right, frac)
-    return GridFunction(out)
+    return GridFunction(_frozen(out))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +301,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
     # invariant density is the fixed measure of the normalized operator, so
     # iterate the transpose of the phi-matrix itself (leading eigenvalue 1 up
     # to interpolation error) starting from the product guess h * rho.
-    phi = GridFunction(phi_vals)
+    phi = GridFunction(_frozen(phi_vals))
     mat_phi_t = transfer_matrix(spec, phi).T
     dens = h * rho
     dens /= dens.mean()
@@ -301,7 +317,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
             f"invariant-density iteration did not converge in {_EIG_SWEEPS} sweeps"
         )
 
-    density = GridFunction(dens)
+    density = GridFunction(_frozen(dens))
     lyap = float(np.mean(np.log(fp) * dens))
     dim = -float(np.mean(phi_vals * dens)) / lyap
 
@@ -309,7 +325,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
         spec=spec,
         potential_psi=psi,
         pressure=pressure,
-        eigenfunction=GridFunction(h),
+        eigenfunction=GridFunction(_frozen(h)),
         density=density,
         phi=phi,
         lyapunov=lyap,
@@ -509,17 +525,19 @@ def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
     of a binary search per draw.  key(x) = floor(x m / total) is monotone in
     x, so the last node whose key is below key(u) (node 0 if none is) lies
     below u; each draw starts there and steps forward while the next node is
-    still <= u.  The uniforms come from one rng.random(count) call; the
-    search and the root then run over blocks of _SAMPLE_BLOCK = 2^14 draws,
-    each written back over its own uniforms, so only the returned array,
-    about 8 bytes per draw, is kept at full length.  Every step is
-    elementwise, so the blocks give the same bits as one pass.
+    still <= u.  The uniforms come from one rng.random(count) call, scaled
+    by total in place; the search and the root then run over blocks of
+    _SAMPLE_BLOCK = 2^14 draws, each written back over its own uniforms,
+    so only the returned array, about 8 bytes per draw, is kept at full
+    length.  Every step is elementwise, so the blocks give the same bits as
+    one pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     cdf, total = _node_cdf(eq)
-    draws = rng.random(count) * total  # each block's u, overwritten by its draws
+    draws = rng.random(count)
+    draws *= total  # each block's u, overwritten by its draws
     rho = eq.density.values
     m = eq.m
     scale = m / total

@@ -235,6 +235,142 @@ def test_manifest_rerun_reproduces_csv_bytes(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+# The process keeps its last solved equilibrium (cli._solved); the shared
+# fixture empties it before each test.
+
+_CHAIN = ("gibbs", "deviations", "nonconc", "expsum", "twisted", "fourier")
+
+
+def _artifacts(root: Path) -> dict:
+    """Every file under root but the manifests (they hold a wall time), by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
+def _grid_file(path: Path, amplitude: float) -> str:
+    m = 1 << 10
+    path.write_text(json.dumps((amplitude * np.sin(2 * np.pi * np.arange(m) / m)).tolist()))
+    return str(path)
+
+
+def _counting_solves(monkeypatch) -> list:
+    solves = []
+    real = cli.solve_equilibrium
+
+    def counting(spec, psi):
+        solves.append(spec)
+        return real(spec, psi)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", counting)
+    return solves
+
+
+@pytest.mark.parametrize("per_command", [False, True], ids=["one-dir", "dir-per-command"])
+def test_reused_equilibrium_gives_the_artifacts_of_fresh_runs(tmp_path, per_command):
+    # one custom path holds two grids in turn: a key without the grid's bytes
+    # would give the second grid the first one's state
+    grid = tmp_path / "psi.json"
+    potentials = {
+        "mme": lambda: "mme",
+        "srb": lambda: "srb",
+        "custom-a": lambda: _grid_file(grid, 0.3),
+        "custom-b": lambda: _grid_file(grid, 0.2),
+    }
+    for side in ("fresh", "reused"):
+        cli._solved = None
+        for label, potential in potentials.items():
+            config = _fast_config(potential=potential())
+            for command in _CHAIN:
+                if side == "fresh":
+                    cli._solved = None
+                out = tmp_path / side / label
+                run(command, config, out / command if per_command else out)
+    fresh, reused = _artifacts(tmp_path / "fresh"), _artifacts(tmp_path / "reused")
+    # per potential: 12 artifacts and one equilibrium.json per directory
+    assert len(fresh) == 4 * (12 + (len(_CHAIN) if per_command else 1))
+    assert sorted(fresh) == sorted(reused)
+    assert [name for name in fresh if fresh[name] != reused[name]] == []
+
+
+def test_a_changed_key_solves_again(tmp_path, monkeypatch):
+    solves = _counting_solves(monkeypatch)
+    out = tmp_path / "out"
+
+    def solved(config) -> int:
+        before = len(solves)
+        run("equilibrium", config, out)
+        return len(solves) - before
+
+    base = _fast_config()
+    assert (solved(base), solved(base)) == (1, 0)
+    for change in ({"n_max": 4}, {"bump_kind": "smoothstep"}, {"grid_m": 1 << 11}, {"potential": "srb"}):
+        assert solved({**base, **change}) == 1, change
+        assert solved(base) == 1, change
+    custom = _fast_config(potential=_grid_file(tmp_path / "psi.json", 0.3))
+    assert (solved(custom), solved(custom)) == (1, 0)
+    _grid_file(tmp_path / "psi.json", 0.2)  # edited at the same path
+    assert solved(custom) == 1
+
+
+def _damage(path: Path, how: str) -> None:
+    if how == "delete":
+        path.unlink()
+        return
+    st = path.stat()
+    body = path.read_bytes()
+    if how == "edit":  # same size, same inode
+        path.write_bytes(body.replace(b'"m": 1024', b'"m": 2048'))
+    else:
+        path.write_bytes(body[: len(body) // 2])
+    # on a file system with coarse timestamps a write within one tick keeps
+    # the old mtime, and a stat shows nothing else of a same-size edit
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+
+
+@pytest.mark.parametrize("how", ["edit", "truncate", "delete"])
+def test_a_changed_equilibrium_file_is_written_again(tmp_path, monkeypatch, how):
+    solves = _counting_solves(monkeypatch)
+    config = _fast_config()
+    first, second = tmp_path / "first", tmp_path / "second"
+    run("equilibrium", config, first)
+    path = first / "equilibrium.json"
+    want = path.read_bytes()
+    run("equilibrium", config, first)  # unchanged: left as it is
+    assert path.read_bytes() == want
+    _damage(path, how)
+    run("equilibrium", config, first)
+    assert path.read_bytes() == want
+    _damage(path, how)
+    run("equilibrium", config, second)  # encoded again, not copied from the damaged file
+    assert (second / "equilibrium.json").read_bytes() == want
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("per_command", [False, True], ids=["one-dir", "dir-per-command"])
+def test_coding_commands_solve_and_encode_the_equilibrium_once(tmp_path, monkeypatch, per_command):
+    solves = _counting_solves(monkeypatch)
+    encoded = []
+    real_write = cli._write_json
+
+    def recording(path, doc):
+        encoded.append(path.name)
+        real_write(path, doc)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    file_ids = []
+    for command in ("gibbs", "deviations", "nonconc", "expsum"):
+        out = tmp_path / command if per_command else tmp_path
+        run(command, _fast_config(), out)
+        file_ids.append(cli._file_id(out / "equilibrium.json"))
+    assert len(solves) == 1
+    assert encoded.count("equilibrium.json") == 1
+    # one file left alone, or four files: one encoded and three copies
+    assert len(set(file_ids)) == (4 if per_command else 1)
+
+
 def test_custom_potential_file(tmp_path):
     m = 1 << 10
     pot = tmp_path / "pot.json"

@@ -10,7 +10,7 @@ from solenoidlab import fourier
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from solenoidlab.solenoid import push_forward
-from solenoidlab.thermo import GridFunction, mme_potential, nodes, solve_equilibrium
+from solenoidlab.thermo import GridFunction, mme_potential, nodes, sample, solve_equilibrium
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +118,9 @@ def test_mu_hat_batch_matches_single_calls(pert_eq):
 
 
 def test_mu_hat_holds_one_frequency_at_a_time():
-    # per fiberless row: the draws, one complex array and var's real temporary,
-    # about 32 bytes per draw; phase kept beside them adds 8, and a one-pass
-    # sample peaks at 64.8
+    # the draws and one complex array, which takes each row's phase and its
+    # variance in place, about 24 bytes per draw; a phase array or var's real
+    # temporary beside them adds 8 each, and a one-pass sample peaks at 64.8
     eq = solve_equilibrium(coefficient_table(5), mme_potential(1 << 12))
     samples = 1 << 18
     tracemalloc.start()
@@ -129,7 +129,49 @@ def test_mu_hat_holds_one_frequency_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36 * samples
+    assert peak <= 26 * samples
+
+
+def _textbook_mu_hat(eq, rows, samples, seed):
+    """mu_hat's estimates from np.exp(1j * phase), its mean and the two parts' var()."""
+    draws = sample(eq, samples, seed)
+    thetas, xs, ys = push_forward(eq.spec, draws, fourier._FIBER_DEPTH)
+    out = []
+    for row in np.asarray(rows, dtype=float):
+        if row[1:].any():
+            phase = row[0] * thetas
+            phase += row[1] * xs
+            phase += row[2] * ys
+        else:
+            phase = row[0] * draws
+        vals = np.exp(1j * phase)
+        var = vals.real.var() + vals.imag.var()
+        out.append((complex(vals.mean()), float(np.sqrt(var / samples))))
+    return out
+
+
+def _hex(estimate):
+    value, err = estimate
+    return value.real.hex(), value.imag.hex(), err.hex()
+
+
+@pytest.mark.parametrize("samples", [1_000, 12_345, 1 << 17])
+def test_mu_hat_matches_the_textbook_form_bit_for_bit(pert_eq, samples):
+    rows = [
+        (10.0, 0.0, 0.0),
+        (-7.5, 0.0, 0.0),
+        (1000.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0),
+        (-0.0, 0.0, 0.0),  # the imaginary parts sum to 0.0, not -0.0
+        (-0.0, -0.0, -0.0),
+        (50.0, 3.0, -2.0),
+        (-7.0, 0.0, 40.0),
+        (-0.0, 2.0, -0.0),
+    ]
+    for seed in (1, 2, 3):
+        got = mu_hat(pert_eq, rows, samples=samples, seed=seed)
+        want = _textbook_mu_hat(pert_eq, rows, samples, seed)
+        assert [_hex(e) for e in got] == [_hex(e) for e in want]
 
 
 def test_mu_hat_pushes_the_fiber_only_when_a_frequency_reads_it(pert_eq, monkeypatch):
