@@ -162,7 +162,7 @@ def test_mu_hat_matches_the_textbook_form_bit_for_bit(pert_eq, samples):
         (-7.5, 0.0, 0.0),
         (1000.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
-        (-0.0, 0.0, 0.0),  # the imaginary parts sum to 0.0, not -0.0
+        (-0.0, 0.0, 0.0),  # phase -0.0, which 1j * phase turns into +0.0j
         (-0.0, -0.0, -0.0),
         (50.0, 3.0, -2.0),
         (-7.0, 0.0, 40.0),
