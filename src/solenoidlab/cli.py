@@ -3,8 +3,9 @@
 One subcommand per experiment; every knob has a default so bare runs work.
 Each run writes its artifacts (CSV series, JSON scalars) plus a manifest
 capturing the fully resolved configuration; re-running from the manifest
-reproduces the CSV bodies byte for byte.  Runs in one process share the
-last equilibrium solved (see _run_equilibrium), with the same artifacts.
+reproduces the CSV bodies byte for byte.  Several run calls in one
+interpreter share the last equilibrium solved (see _run_equilibrium), with
+the same artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import math
 import os
-import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -338,12 +338,11 @@ def _run_construct(config: dict, out: Path, _eq: None) -> None:
 
 
 class _Solved(NamedTuple):
-    """The last equilibrium this process solved, and the equilibrium.json last
-    written from it: its absolute path and _file_id just after the write."""
+    """The last equilibrium this process solved, and the _file_id of the
+    equilibrium.json last written from it, taken just after the write."""
 
     key: tuple
     eq: EquilibriumData
-    path: str
     file_id: tuple[int, int, int, int]
 
 
@@ -370,12 +369,12 @@ def _run_equilibrium(config: dict, out: Path, custom: np.ndarray | None) -> Equi
     the potential string, grid_m and the custom grid's bytes.  A run with the
     same key takes that state instead of solving again, and its
     equilibrium.json is the same bytes a fresh solve would write: the file
-    last written is left alone when it is the target and unchanged, copied
-    when the target lies elsewhere, and re-encoded when it changed or is
-    gone.  "Unchanged" is read from the file's device, inode, size and
-    mtime, as make reads a target: an edit that keeps the size within the
-    file system's timestamp tick goes unseen.  A failed solve or write
-    leaves the record as it was.
+    last written is left alone when it is the target and unchanged, and
+    re-encoded in every other case (another directory, or a file that
+    changed or is gone).  "Unchanged" is read from the file's device,
+    inode, size and mtime, as make reads a target: an edit that keeps the
+    size within the file system's timestamp tick goes unseen.  A failed
+    solve or write leaves the record as it was.
     """
     global _solved
     spec = coefficient_table(config["n_max"], config["bump_kind"])
@@ -386,10 +385,6 @@ def _run_equilibrium(config: dict, out: Path, custom: np.ndarray | None) -> Equi
     if last is None:
         eq = solve_equilibrium(spec, _build_potential(config, spec, custom))
     elif _unchanged(target, last.file_id):
-        return last.eq
-    elif _unchanged(last.path, last.file_id):
-        shutil.copyfile(last.path, target)
-        _solved = last._replace(path=os.path.abspath(target), file_id=_file_id(target))
         return last.eq
     else:
         eq = last.eq
@@ -408,7 +403,7 @@ def _run_equilibrium(config: dict, out: Path, custom: np.ndarray | None) -> Equi
             "phi": eq.phi.values,
         },
     )
-    _solved = _Solved(key, eq, os.path.abspath(target), _file_id(target))
+    _solved = _Solved(key, eq, _file_id(target))
     return eq
 
 

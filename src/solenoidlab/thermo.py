@@ -65,10 +65,11 @@ def _grid_ok(m: int) -> bool:
 class GridFunction:
     """Real function on m uniform circle nodes with wraparound linear interpolation.
 
-    values is read-only.  A writable array of the caller's, or a view of
-    one, is copied, so the caller's stays writable and cannot change this
-    one; a read-only array is shared, and any other input is converted into
-    a new array that only this object holds.
+    values is read-only.  A view of any array, read-only or not, is copied,
+    since its base may still be written; so is a writable array of the
+    caller's, which stays writable and cannot change this one.  A read-only
+    array that owns its memory is shared, and any other input is converted
+    into a new array that only this object holds.
     """
 
     values: np.ndarray
@@ -79,7 +80,7 @@ class GridFunction:
             raise ValueError(f"grid size must be a power of two >= {_MIN_GRID}")
         if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
-        if vals.flags.writeable and (vals is self.values or vals.base is not None):
+        if vals.base is not None or (vals.flags.writeable and vals is self.values):
             vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -98,7 +99,7 @@ class GridFunction:
 
 def _frozen(values: np.ndarray) -> np.ndarray:
     """values made read-only, for a caller that hands its array to a GridFunction
-    to share rather than copy."""
+    to share rather than copy; values must own its memory, or it is copied."""
     values.setflags(write=False)
     return values
 
@@ -525,19 +526,17 @@ def sample(eq: EquilibriumData, count: int, seed: int) -> np.ndarray:
     of a binary search per draw.  key(x) = floor(x m / total) is monotone in
     x, so the last node whose key is below key(u) (node 0 if none is) lies
     below u; each draw starts there and steps forward while the next node is
-    still <= u.  The uniforms come from one rng.random(count) call, scaled
-    by total in place; the search and the root then run over blocks of
-    _SAMPLE_BLOCK = 2^14 draws, each written back over its own uniforms,
-    so only the returned array, about 8 bytes per draw, is kept at full
-    length.  Every step is elementwise, so the blocks give the same bits as
-    one pass.
+    still <= u.  The uniforms come from one rng.random(count) call; the
+    search and the root then run over blocks of _SAMPLE_BLOCK = 2^14 draws,
+    each written back over its own uniforms, so only the returned array,
+    about 8 bytes per draw, is kept at full length.  Every step is
+    elementwise, so the blocks give the same bits as one pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     cdf, total = _node_cdf(eq)
-    draws = rng.random(count)
-    draws *= total  # each block's u, overwritten by its draws
+    draws = rng.random(count) * total  # each block's u, overwritten by its draws
     rho = eq.density.values
     m = eq.m
     scale = m / total

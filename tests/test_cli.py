@@ -344,7 +344,7 @@ def test_a_changed_equilibrium_file_is_written_again(tmp_path, monkeypatch, how)
     run("equilibrium", config, first)
     assert path.read_bytes() == want
     _damage(path, how)
-    run("equilibrium", config, second)  # encoded again, not copied from the damaged file
+    run("equilibrium", config, second)  # another directory: encoded from the state
     assert (second / "equilibrium.json").read_bytes() == want
     assert len(solves) == 1
 
@@ -366,8 +366,8 @@ def test_coding_commands_solve_and_encode_the_equilibrium_once(tmp_path, monkeyp
         run(command, _fast_config(), out)
         file_ids.append(cli._file_id(out / "equilibrium.json"))
     assert len(solves) == 1
-    assert encoded.count("equilibrium.json") == 1
-    # one file left alone, or four files: one encoded and three copies
+    # one file, encoded once and then left alone, or one encode per directory
+    assert encoded.count("equilibrium.json") == (4 if per_command else 1)
     assert len(set(file_ids)) == (4 if per_command else 1)
 
 

@@ -98,6 +98,15 @@ def test_grid_function_copies_only_what_freezing_would_take_from_the_caller():
     frozen = np.ones(1024)
     frozen.setflags(write=False)
     assert GridFunction(frozen).values is frozen
+    # a read-only view of a writable array: the caller still writes through buf
+    buf = np.zeros(1024)
+    view = buf.view()
+    view.setflags(write=False)
+    for given in (view, np.broadcast_to(buf[:1], (1024,))):
+        g = GridFunction(given)
+        buf[0] = 1.0
+        assert g.values[0] == 0.0
+        buf[0] = 0.0
     converted = np.arange(1024)  # integers: converted into a new array, not copied again
     g = GridFunction(converted)
     assert g.values.base is None and not g.values.flags.writeable
@@ -717,15 +726,14 @@ def _sampling_eq(kind):
 
 
 class _Fractions:
-    """Stands in for sample's generator: random() returns the given fractions r,
-    in a new array each call as a Generator does, which sample may overwrite."""
+    """Stands in for sample's generator: random() returns the given fractions r."""
 
     def __init__(self, r):
         self.r = r
 
     def random(self, count):
         assert count == self.r.size
-        return self.r.copy()
+        return self.r
 
 
 def _sample_bits(eq, r):
@@ -786,8 +794,7 @@ def test_sample_blocks_match_binary_search_at_block_edges(count):
 def test_sample_keeps_only_its_draws_at_full_length(spec):
     # a one-pass sample traces 64.8 bytes per draw in full-length temporaries;
     # the blocked one keeps the draws (8 bytes) and one block's temporaries
-    # (about 6 at this count), with the uniforms scaled in place: one more
-    # full-length float would make it 22.5
+    # (about 6 at this count): one more full-length float would make it 22.5
     eq = solve_equilibrium(spec, mme_potential(M))
     count = 1 << 18
     tracemalloc.start()
