@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -218,6 +219,19 @@ def test_all_runs_in_order(tmp_path):
     cyl = (tmp_path / "cylinders.csv").read_text().splitlines()
     assert cyl[0] == "word,lo,hi,anchor,deriv_at_anchor"
     assert len(cyl) == (1 << 4) + 1
+
+
+@pytest.mark.parametrize("experiment", ["construct", "equilibrium", "gibbs", "all"])
+def test_manifest_times_each_stage(tmp_path, experiment):
+    run(experiment, _fast_config(mu_samples=1_000), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    stages = manifest["stage_seconds"]
+    chain = cli._chain(experiment)
+    solves = any(EXPERIMENT_TABLE[name].needs_equilibrium for name in chain)
+    assert set(stages) == set(chain) | ({"equilibrium"} if solves else set())
+    assert all(math.isfinite(s) and s >= 0 for s in stages.values())
+    # disjoint spans of one monotonic clock, inside the whole run's span
+    assert sum(stages.values()) <= manifest["wall_clock_seconds"]
 
 
 def test_manifest_rerun_reproduces_csv_bytes(tmp_path):
@@ -581,6 +595,9 @@ _NUMBERS = st.one_of(
     st.integers(),
     st.integers(min_value=2**63, max_value=2**80),
 )
+# arrays drawn from a small pool repeat entries, as the equilibrium grids do;
+# 0.0 and -0.0 are equal values with distinct encodings
+_POOL = [0.0, -0.0, 1.5, float("nan"), 5e-324, 1e16, float(2**53), 3, -7, 2**53]
 _TEXT = st.text(max_size=8) | st.sampled_from([", ", "a, b", "1, 2", "line\nbreak", "é, ü, ∞"])
 _SCALARS = _NUMBERS | st.booleans() | st.none() | _TEXT
 _DOCS = st.recursive(
@@ -589,6 +606,7 @@ _DOCS = st.recursive(
         st.lists(_NUMBERS, min_size=1),
         st.lists(_NUMBERS, min_size=1).map(tuple),
         st.lists(st.floats() | st.integers(-(2**53), 2**53), min_size=1, max_size=8).map(np.array),
+        st.lists(st.sampled_from(_POOL), min_size=1, max_size=12).map(np.array),
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.dictionaries(_TEXT, inner),
@@ -601,8 +619,34 @@ _DOCS = st.recursive(
 @given(doc=st.dictionaries(_TEXT, _DOCS, max_size=4))
 @example(doc={"grid": [0.5, float("nan"), 2**64], "mixed": ["a, b", 1.0, [], {}, [-0.0]]})
 @example(doc={"grid": np.array([0.5, float("nan"), -0.0]), "ints": np.arange(3)})
+@example(doc={"zeros": np.array([0.0, -0.0, 0.0, 1.5, -0.0])})
 def test_encoder_matches_indented_json_dumps(doc):
     assert "".join(_encode(doc)) + "\n" == _indented(doc)
+
+
+def test_encoder_formats_each_distinct_bit_pattern_once(monkeypatch):
+    spec = coefficient_table(5, "exp")
+    psi = thermo.solve_equilibrium(spec, thermo.srb_potential(spec, 1 << 12)).potential_psi.values
+    pool = np.random.default_rng(0).choice([0.0, -0.0, 1.5, float("nan"), 1e16], size=1000)
+    doc = {"pool": pool, "psi": psi}
+    want = _indented(doc)
+    lists = []
+    real = cli.json.dumps
+
+    def spying(obj, *args, **kwargs):
+        if isinstance(obj, list):
+            lists.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spying)
+    assert "".join(_encode(doc)) + "\n" == want
+    # off the bumps psi is -ln 2 bit for bit, so a handful of doubles fill the grid
+    assert len(np.unique(psi)) < psi.size // 10
+    assert len(lists) == 2
+    for grid, formatted in zip((pool, psi), lists):
+        bits = np.array(formatted, dtype=float).view("u8")
+        assert bits.size == np.unique(bits).size == np.unique(grid.view("u8")).size
+        assert set(bits.tolist()) == set(grid.view("u8").tolist())
 
 
 def test_every_artifact_matches_indented_json_dumps(tmp_path, monkeypatch):
