@@ -614,6 +614,7 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
     The manifest's times come from the monotonic performance counter:
     wall_clock_seconds spans the whole chain, and stage_seconds gives the
     equilibrium (solve and write, or reuse) and each experiment the chain runs.
+    environment names the interpreter, library versions and host.
     """
     chain = _chain(experiment)
     custom = _validate(config)
@@ -642,8 +643,22 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
             "version": __version__,
             "wall_clock_seconds": time.perf_counter() - started,
             "stage_seconds": stage_seconds,
+            "environment": _environment(),
         },
     )
+
+
+def _environment() -> dict:
+    """The Python, NumPy and SciPy versions, the platform and the CPU count."""
+    import scipy  # loaded already by thermo's scipy.sparse; no import-time cost
+
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": sys.platform,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 # ---------------------------------------------------------------------------

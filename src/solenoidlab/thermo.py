@@ -267,6 +267,12 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
     gives the invariant density; both are renormalized each sweep and the
     loop stops when successive Rayleigh estimates agree to _EIG_TOL, or
     raises after _EIG_SWEEPS sweeps.
+
+    Each Rayleigh quotient's two inner products are NumPy pairwise sums,
+    which run on the calling thread.  A BLAS dot product over more than
+    10^4 entries may be split across BLAS threads: each split sums in
+    another order, so the pressure's last bits would follow the BLAS
+    thread count, and every call would wait for the woken workers.
     """
     m = psi.m
     mat = transfer_matrix(spec, psi)
@@ -277,7 +283,7 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
     for _ in range(_EIG_SWEEPS):
         h_new = mat @ h
         rho_new = mat_t @ rho
-        lam = float(h_new @ rho / (h @ rho))
+        lam = float((h_new * rho).sum() / (h * rho).sum())
         h = h_new / h_new.max()
         rho = rho_new / rho_new.mean()
         if abs(lam - lam_prev) < _EIG_TOL:

@@ -11,13 +11,15 @@ non-concentration and sum-product decay of those tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .symbolic import _check_word, _compose, preimage_tree
+from .circle_map import PerturbationSpec
+from .symbolic import Word, _check_word, _compose, preimage_tree
 from .thermo import EquilibriumData, transfer_matrix
 
 __all__ = [
@@ -84,20 +86,31 @@ def zeta_table(eq: EquilibriumData, context: Sequence[int], n: int) -> ZetaTable
     context supplies the preceding block (length n + 1); its last symbol is
     dropped and the remaining 2n branch symbols (context' followed by b')
     are composed right to left from the anchor selected by b's last symbol.
-    For the linear map every entry equals one.
+    For the linear map every entry equals one.  The values are read-only.
     """
     if not 1 <= n <= _MAX_BLOCK:
         raise ValueError(f"n must be in 1..{_MAX_BLOCK}")
     ctx = _check_word(context)
     if len(ctx) != n + 1:
         raise ValueError(f"context must have length n + 1 = {n + 1}, got {len(ctx)}")
+    return ZetaTable(_zeta_values(eq.spec, eq.lyapunov, ctx, n))
 
+
+@functools.lru_cache(maxsize=1)
+def _zeta_values(spec: PerturbationSpec, lyapunov: float, ctx: Word, n: int) -> np.ndarray:
+    """zeta_table's values, memoized for the last (spec, lyapunov, ctx, n).
+
+    The table reads nothing else of the equilibrium, so the commands of one
+    process that share a table build it once; the array is read-only
+    because every table built from these arguments shares it.
+    """
     # row b', column s is the word b' s at its anchor s; raveled, index 2 b' + s
-    y, deriv = preimage_tree(eq.spec, [0.0, 1.0], n)
-    _, deriv = _compose(eq.spec, ctx[:-1], y.ravel(), deriv.ravel())
+    y, deriv = preimage_tree(spec, [0.0, 1.0], n)
+    _, deriv = _compose(spec, ctx[:-1], y.ravel(), deriv.ravel())
 
-    values = np.exp(2.0 * eq.lyapunov * n) * deriv
-    return ZetaTable(values)
+    values = np.exp(2.0 * lyapunov * n) * deriv
+    values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +183,13 @@ def table_scale(table: ZetaTable) -> TableScale:
     """Spread, distinct count, largest tie share and tie floor of a table."""
     values, counts = np.unique(table.values, return_counts=True)
     shares = counts / table.size
+    # a NumPy sum on the calling thread: a BLAS dot over more than 10^4
+    # distinct values may wake BLAS threads
     return TableScale(
-        float(values[-1] - values[0]), values.size, float(shares.max()), float(shares @ shares)
+        float(values[-1] - values[0]),
+        values.size,
+        float(shares.max()),
+        float((shares * shares).sum()),
     )
 
 

@@ -234,6 +234,22 @@ def test_manifest_times_each_stage(tmp_path, experiment):
     assert sum(stages.values()) <= manifest["wall_clock_seconds"]
 
 
+def test_manifest_records_the_environment(tmp_path):
+    import platform
+
+    import scipy
+
+    run("construct", _fast_config(), tmp_path)
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": sys.platform,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def test_manifest_rerun_reproduces_csv_bytes(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_fast_config()))
@@ -383,6 +399,12 @@ def test_coding_commands_solve_and_encode_the_equilibrium_once(tmp_path, monkeyp
     # one file, encoded once and then left alone, or one encode per directory
     assert encoded.count("equilibrium.json") == (4 if per_command else 1)
     assert len(set(file_ids)) == (4 if per_command else 1)
+
+
+def test_nonconc_and_expsum_build_the_zeta_table_once(tmp_path):
+    for command in ("nonconc", "expsum"):
+        run(command, _fast_config(), tmp_path)
+    assert twisted._zeta_values.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_custom_potential_file(tmp_path):

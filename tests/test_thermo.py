@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,38 @@ def test_solve_reports_nonconvergence(spec, monkeypatch):
     monkeypatch.setattr(thermo, "_EIG_SWEEPS", 1)
     with pytest.raises(thermo.SpectralConvergenceError):
         solve_equilibrium(spec, mme_potential(M))
+
+
+_SOLVE_AND_PRINT = """
+import hashlib
+from solenoidlab.circle_map import coefficient_table
+from solenoidlab.thermo import solve_equilibrium, srb_potential
+spec = coefficient_table(5)
+eq = solve_equilibrium(spec, srb_potential(spec, 1 << 14))
+for grid in (eq.eigenfunction, eq.density, eq.phi):
+    print(hashlib.sha256(grid.values.tobytes()).hexdigest())
+print(repr(eq.pressure), repr(eq.lyapunov), repr(eq.dimension))
+"""
+
+
+def test_equilibrium_bits_do_not_follow_the_blas_thread_count():
+    # A BLAS dot product over more than 10^4 entries may be split across
+    # threads, each split summing in another order; the solve must not call one.
+    src = Path(thermo.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )}
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
+        ))
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_AND_PRINT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_linear_mme_equilibrium(lin_eq):

@@ -1,6 +1,7 @@
 """Twisted-operator profiles, phase tables, pair counts, exponential sums."""
 
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -105,6 +106,43 @@ def test_zeta_values_positive_and_near_one(pert_eq):
 def test_zeta_context_length_validation(pert_eq):
     with pytest.raises(ValueError):
         zeta_table(pert_eq, (0, 1, 0), 4)
+
+
+def _bits(values):
+    return np.asarray(values).view(np.uint64)
+
+
+def test_zeta_values_cached_read_only_and_equal_to_a_fresh_build(pert_eq):
+    ctx = (0, 1) * 6 + (0,)
+    first = zeta_table(pert_eq, ctx, 12)
+    again = zeta_table(pert_eq, list(ctx), 12)
+    assert again.values is first.values
+    assert twisted._zeta_values.cache_info()[:2] == (1, 1)  # hits, misses
+    with pytest.raises(ValueError):
+        first.values[0] = 1.0
+    twisted._zeta_values.cache_clear()
+    rebuilt = zeta_table(pert_eq, ctx, 12)
+    assert rebuilt.values is not first.values
+    assert np.array_equal(_bits(rebuilt.values), _bits(first.values))
+
+
+def test_zeta_table_follows_spec_lyapunov_context_and_n(pert_eq):
+    ctx, n = (0, 1) * 3 + (0,), 6
+    base = _bits(zeta_table(pert_eq, ctx, n).values)
+    changes = {
+        "spec": (dataclasses.replace(pert_eq, spec=coefficient_table(5, "smoothstep")), ctx, n),
+        "lyapunov": (dataclasses.replace(pert_eq, lyapunov=pert_eq.lyapunov * (1 + 2**-40)), ctx, n),
+        "context": (pert_eq, (1, 0) * 3 + (1,), n),
+        "n": (pert_eq, ctx + (1,), n + 1),
+    }
+    for name, (eq, ctx_, n_) in changes.items():
+        got = _bits(zeta_table(eq, ctx_, n_).values)
+        want = _bits(twisted._zeta_values.__wrapped__(eq.spec, eq.lyapunov, ctx_, n_))
+        assert np.array_equal(got, want), name
+        # a memo that ignored this argument would have handed back the base table
+        assert not np.array_equal(got, base), name
+        assert np.array_equal(_bits(zeta_table(pert_eq, ctx, n).values), base), name
+    assert twisted._zeta_values.cache_info().hits == 0
 
 
 def test_profile_step_validation(pert_eq):
