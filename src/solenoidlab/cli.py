@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .circle_map import _MAX_ORDER, _MAX_PERIOD, BUMP_KINDS, coefficient_table, lyapunov_target
 from .circle_map import verify_lattice
-from .fourier import _MAX_FREQUENCY, _MIN_FREQUENCIES, _MIN_SAMPLES
-from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
+from .fourier import _MAX_FREQUENCY, _MIN_FREQUENCIES, _MIN_SAMPLES, _workers
+from .fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat, nu_hat_limit
 from .solenoid import periodic_orbit
 from .symbolic import _MAX_LEVEL, cylinder_rows
 from .thermo import (
@@ -521,6 +521,7 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
                 "stderr": _fmt(err),
             }
         )
+    limit = nu_hat_limit(eq.m)
     _write_json(
         out / "summary.json",
         {
@@ -528,6 +529,8 @@ def _run_fourier(config: dict, out: Path, eq: EquilibriumData) -> None:
             "stderr": _fmt(fit.stderr),
             "n_points": fit.n_used,
             "marginal_cross_check": cross,
+            "nu_hat_grid_limit": _fmt(limit),
+            "frequencies_past_grid_limit": int((np.abs(freqs) > limit).sum()),
         },
     )
 
@@ -614,7 +617,8 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
     The manifest's times come from the monotonic performance counter:
     wall_clock_seconds spans the whole chain, and stage_seconds gives the
     equilibrium (solve and write, or reuse) and each experiment the chain runs.
-    environment names the interpreter, library versions and host.
+    environment names the interpreter, library versions and host, and the
+    worker count mu_hat's pool reads.
     """
     chain = _chain(experiment)
     custom = _validate(config)
@@ -649,7 +653,8 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
 
 
 def _environment() -> dict:
-    """The Python, NumPy and SciPy versions, the platform and the CPU count."""
+    """The Python, NumPy and SciPy versions, the platform, the CPU count and
+    the cores mu_hat's pool may use."""
     import scipy  # loaded already by thermo's scipy.sparse; no import-time cost
 
     return {
@@ -658,6 +663,7 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "platform": sys.platform,
         "cpu_count": os.cpu_count(),
+        "workers": _workers(),
     }
 
 

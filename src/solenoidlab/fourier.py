@@ -7,14 +7,18 @@ since the invariant measure on the attractor has no density.  mu projects
 onto nu along the stable fibers, so a frequency with no fiber component
 reads the angular draws from nu as they are; only the others read samples
 pushed a fixed 20 steps onto the attractor, which resolves the fiber to
-2 * 4^-20 ~ 1.8e-12.
+2 * 4^-20 ~ 1.8e-12.  mu_hat's elementwise passes (phase, exp, the
+variance's deviations) run on a thread pool in fixed chunks of draws, while
+every sum runs whole on the calling thread, so no worker count reaches a bit.
 Power-law exponents come from a log-log least-squares fit.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .thermo import EquilibriumData, nodes, sample
 __all__ = [
     "DecaySeries",
     "nu_hat",
+    "nu_hat_limit",
     "mu_hat",
     "decay_exponent",
     "dyadic_frequencies",
@@ -44,10 +49,23 @@ _FIBER_DEPTH = 20
 # |t| = sqrt(largest double) ~ 1.34e154 on; nu_hat rejects t at or past it.
 _MAX_FREQUENCY = float(np.sqrt(np.finfo(float).max))
 
+# mu_hat's elementwise passes run over chunks of this many draws: a chunk's
+# bits are the same whichever thread computes it and however many run.
+_CHUNK = 1 << 17
+
 
 def dyadic_frequencies(base: float = 100.0, count: int = 11) -> np.ndarray:
     """Default frequency schedule base * 2^j, j = 0..count-1."""
     return base * 2.0 ** np.arange(count)
+
+
+def nu_hat_limit(m: int) -> float:
+    """The largest frequency nu_hat trusts on an m-node grid, 2 pi m / 8.
+
+    Past it a period spans fewer than 8 cells, and the piecewise-linear
+    density no longer resolves what the transform reads.
+    """
+    return 2.0 * np.pi * m / 8.0
 
 
 def nu_hat(eq: EquilibriumData, t: float) -> complex:
@@ -55,7 +73,7 @@ def nu_hat(eq: EquilibriumData, t: float) -> complex:
 
     The integral against the piecewise-linear density is evaluated in
     closed form per cell, so the only error is the density's own
-    resolution; frequencies are trustworthy up to about 2 pi m / 8.
+    resolution; frequencies are trustworthy up to nu_hat_limit(m).
     Raises ValueError unless |t| < _MAX_FREQUENCY.
     """
     if not abs(t) < _MAX_FREQUENCY:  # also false for a NaN
@@ -76,6 +94,34 @@ def nu_hat(eq: EquilibriumData, t: float) -> complex:
     drho = np.roll(rho, -1) - rho
     carrier = np.exp(1j * t * nodes(m))
     return complex((carrier * rho).sum() * i0 + (carrier * drho).sum() * i1 / h)
+
+
+def _workers() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _chunked(n: int) -> Iterator[Callable]:
+    """Yield each(pass_), which runs pass_(chunk) on every _CHUNK-long slice
+    of range(n) and returns once all have run.
+
+    The slices go to a pool of min(_workers(), chunk count) threads, shut
+    down on exit; one worker runs them inline.  A pass must call only NumPy.
+    """
+    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+    workers = min(_workers(), len(chunks))
+    if workers == 1:
+        yield lambda pass_: list(map(pass_, chunks))
+        return
+    # imported here: the module costs about 2 ms, and only mu_hat needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        yield lambda pass_: list(pool.map(pass_, chunks))
 
 
 def mu_hat(
@@ -99,7 +145,11 @@ def mu_hat(
     identical seeds give bit-identical output.  A fiberless frequency holds
     the draws and one complex array, about 24 bytes per draw: the phase is
     written into that array's imaginary part and the variance is taken in
-    place.
+    place.  The elementwise passes (phase, exp, subtract the mean, square)
+    run in fixed chunks of _CHUNK draws on one thread pool per call, one
+    thread per core; the mean and the variance's sums run on the calling
+    thread over the whole array, so the output does not depend on the
+    number of cores.
 
     Decay along xi is only claimed for directions with a nonzero angular
     component (the unstable cone); purely fiber-directed frequencies probe
@@ -126,24 +176,42 @@ def mu_hat(
     vals = np.empty(samples, dtype=complex)
     re, im = vals.real, vals.imag
     results = []
-    for row, fiber in zip(rows, reads_fiber):
-        re.fill(0.0)
-        if fiber:
-            np.multiply(row[0], thetas, out=im)
-            im += row[1] * xs
-            im += row[2] * ys
-        else:
-            np.multiply(row[0], draws, out=im)
-        im += 0.0  # 1j * phase has imaginary part 0.0 + phase, so no -0.0
-        np.exp(vals, out=vals)
-        value = complex(vals.mean())
-        # each part's variance as ndarray.var takes it (sum, divide, subtract,
-        # square, sum, divide), bit for bit, in place instead of in a temporary
-        for part in (re, im):
-            part -= part.sum() / samples
-            part *= part
-        var = re.sum() / samples + im.sum() / samples
-        results.append((value, float(np.sqrt(var / samples))))
+
+    # the passes each frequency runs on every chunk; they call only NumPy
+    def exp_pass(row, fiber):
+        def pass_(c):
+            chunk = vals[c]
+            phase = chunk.imag
+            chunk.real.fill(0.0)
+            if fiber:
+                np.multiply(row[0], thetas[c], out=phase)
+                phase += row[1] * xs[c]
+                phase += row[2] * ys[c]
+            else:
+                np.multiply(row[0], draws[c], out=phase)
+            phase += 0.0  # 1j * phase has imaginary part 0.0 + phase, so no -0.0
+            np.exp(chunk, out=chunk)
+
+        return pass_
+
+    def deviation_pass(mean_re, mean_im):
+        def pass_(c):
+            for part, mean in ((re[c], mean_re), (im[c], mean_im)):
+                part -= mean
+                part *= part
+
+        return pass_
+
+    with _chunked(samples) as each:
+        for row, fiber in zip(rows, reads_fiber):
+            each(exp_pass(row, fiber))
+            value = complex(vals.mean())
+            # each part's variance as ndarray.var takes it (sum, divide,
+            # subtract, square, sum, divide), bit for bit, in place instead of
+            # in a temporary; the sums run whole, here, in var's order
+            each(deviation_pass(re.sum() / samples, im.sum() / samples))
+            var = re.sum() / samples + im.sum() / samples
+            results.append((value, float(np.sqrt(var / samples))))
     return results[0] if xi.ndim == 1 else results
 
 

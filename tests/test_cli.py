@@ -120,6 +120,32 @@ def test_fourier_artifacts(tmp_path):
     assert len(summary["marginal_cross_check"]) == 3
 
 
+def test_fourier_summary_bytes_do_not_follow_the_worker_count(tmp_path, monkeypatch):
+    # one chunk holding every draw is mu_hat without chunks: under one worker
+    # and two, the chunked passes must write the same bytes
+    config = _fast_config(mu_samples=2 * fourier._CHUNK + 777)
+    written = []
+    for workers, chunk in [(1, fourier._CHUNK), (2, fourier._CHUNK), (1, 1 << 30)]:
+        monkeypatch.setattr(fourier, "_workers", lambda: workers)
+        monkeypatch.setattr(fourier, "_CHUNK", chunk)
+        run("fourier", config, tmp_path / f"{workers}-{chunk}")
+        written.append((tmp_path / f"{workers}-{chunk}" / "summary.json").read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("grid_m, past", [(1 << 14, 3), (1 << 17, 0)])
+def test_summary_counts_the_frequencies_past_the_grid_limit(tmp_path, grid_m, past):
+    # nu_hat trusts t up to 2 pi m / 8, 12,868 at the default m = 2^14, which
+    # the default schedule 100 * 2^j passes at 25,600, 51,200 and 102,400
+    config = resolve_config()
+    config.update(grid_m=grid_m, mu_samples=2_000)
+    run("fourier", config, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["frequencies_past_grid_limit"] == past
+    assert float(summary["nu_hat_grid_limit"]) == fourier.nu_hat_limit(grid_m)
+    assert fourier.nu_hat_limit(1 << 14) == pytest.approx(12_867.96, abs=0.01)
+
+
 def test_removed_depth_knob_exits_2(tmp_path):
     # mu_hat's fiberless rows read no push, so the CLI has no depth to set
     with pytest.raises(SystemExit) as exc:
@@ -247,7 +273,9 @@ def test_manifest_records_the_environment(tmp_path):
         "scipy": scipy.__version__,
         "platform": sys.platform,
         "cpu_count": os.cpu_count(),
+        "workers": fourier._workers(),
     }
+    assert 1 <= env["workers"] <= os.cpu_count()
 
 
 def test_manifest_rerun_reproduces_csv_bytes(tmp_path):

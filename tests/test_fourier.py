@@ -132,10 +132,11 @@ def test_mu_hat_holds_one_frequency_at_a_time():
     assert peak <= 26 * samples
 
 
-def _textbook_mu_hat(eq, rows, samples, seed):
-    """mu_hat's estimates from np.exp(1j * phase), its mean and the two parts' var()."""
+def _textbook_mu_hat(eq, rows, samples, seed, pushed=None):
+    """mu_hat's estimates from np.exp(1j * phase), its mean and the two parts' var(),
+    reading the given push of the draws, or pushing them here."""
     draws = sample(eq, samples, seed)
-    thetas, xs, ys = push_forward(eq.spec, draws, fourier._FIBER_DEPTH)
+    thetas, xs, ys = pushed or push_forward(eq.spec, draws, fourier._FIBER_DEPTH)
     out = []
     for row in np.asarray(rows, dtype=float):
         if row[1:].any():
@@ -172,6 +173,49 @@ def test_mu_hat_matches_the_textbook_form_bit_for_bit(pert_eq, samples):
         got = mu_hat(pert_eq, rows, samples=samples, seed=seed)
         want = _textbook_mu_hat(pert_eq, rows, samples, seed)
         assert [_hex(e) for e in got] == [_hex(e) for e in want]
+
+
+_PARTIAL = 3 * fourier._CHUNK + 777  # three whole chunks and a partial one
+
+
+@pytest.mark.parametrize(
+    "rows, samples",
+    [
+        ([(10.0, 0.0, 0.0), (100.0, 0.0, 0.0), (1000.0, 0.0, 0.0)], _PARTIAL),
+        ([(10.0, 0.3, -0.2), (100.0, 0.0, 0.0), (1e3, 1.0, 2.0)], _PARTIAL),
+        ([(10.0, 0.0, 0.0), (-7.0, 0.0, 40.0)], 12_345),  # below one chunk
+    ],
+)
+def test_mu_hat_bits_do_not_follow_the_worker_count(pert_eq, monkeypatch, rows, samples):
+    # every chunk takes its phase and exp, and every sum runs over the whole
+    # array, whichever worker computes a chunk and however many run
+    pushed = push_forward(pert_eq.spec, sample(pert_eq, samples, 4), fourier._FIBER_DEPTH)
+    want = [_hex(e) for e in _textbook_mu_hat(pert_eq, rows, samples, 4, pushed)]
+    monkeypatch.setattr(fourier, "push_forward", lambda *args: pushed)  # the same push, once
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fourier, "_workers", lambda: workers)
+        got = mu_hat(pert_eq, rows, samples=samples, seed=4)
+        assert [_hex(e) for e in got] == want, workers
+
+
+def test_mu_hat_pool_is_capped_at_the_chunk_count_and_shut_down(pert_eq, monkeypatch):
+    import concurrent.futures
+    import threading
+
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    threads = threading.active_count()
+    for workers, samples in [(1, 4 * fourier._CHUNK), (3, fourier._CHUNK), (3, 2 * fourier._CHUNK + 1)]:
+        monkeypatch.setattr(fourier, "_workers", lambda: workers)
+        mu_hat(pert_eq, (10.0, 0.0, 0.0), samples=samples)
+        assert threading.active_count() == threads  # every worker joined
+    assert sizes == [3]  # one worker, or one chunk, runs inline
 
 
 def test_mu_hat_pushes_the_fiber_only_when_a_frequency_reads_it(pert_eq, monkeypatch):

@@ -278,20 +278,32 @@ def test_push_forward_deep_resolves_fiber(spec):
 
 
 def test_one_thread_pool_in_package():
-    # the package makes no pool at all: every computation runs on the calling
-    # thread, so no thread count can reach an artifact.  A pool brought back
-    # must be the one place threads start, with a test that the output does
-    # not depend on the thread count.
+    # fourier._chunked builds the package's one pool, for mu_hat's elementwise
+    # passes, and imports it there; every other computation runs on the calling
+    # thread.  test_fourier checks that mu_hat's bits do not follow the worker
+    # count, and a second pool needs a test of its own before it joins this list.
+    pools, imports = [], []
     for path in sorted(Path(solenoid.__file__).parent.glob("*.py")):
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                imported |= {alias.name for alias in node.names}
-        roots = {name.split(".")[0] for name in imported}
-        assert not roots & {"threading", "concurrent"}, path.name
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> name of the innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    scope[node] = fn.name  # inner functions are walked later
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                if name == "ThreadPoolExecutor":
+                    pools.append((path.name, scope.get(node)))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+                if isinstance(node, ast.ImportFrom):
+                    names.add(node.module or "")
+                if {name.split(".")[0] for name in names} & {"threading", "concurrent", "multiprocessing"}:
+                    imports.append((path.name, scope.get(node)))
+    assert pools == [("fourier.py", "_chunked")]
+    assert imports == [("fourier.py", "_chunked")]
 
 
 def test_one_orbit_closure_error_in_package():
