@@ -166,6 +166,10 @@ def _check_order(n_max: int) -> None:
         raise ValueError(f"n_max must be in 1..{_MAX_ORDER}, got {n_max!r}")
 
 
+# the coefficient tables built so far, by coefficient_table's arguments
+_TABLES: dict[tuple, PerturbationSpec] = {}
+
+
 def coefficient_table(n_max: int, bump_kind: str = "exp") -> PerturbationSpec:
     """Build the coefficient family for orders N = 2..n_max, n_max <= _MAX_ORDER.
 
@@ -174,8 +178,16 @@ def coefficient_table(n_max: int, bump_kind: str = "exp") -> PerturbationSpec:
     max(60, N^2 + 25) significant digits, of which the subtraction cancels
     about N^2, before rounding to a double.  lnln2 carries max(60, n_max^2
     + 25) digits, 25 past the last one any floor reads.  n_max = 1 returns
-    the empty table (linear map).
+    the empty table (linear map).  Memoized: each (n_max, bump_kind) is
+    built once per process, and every call shares the frozen spec.
     """
+    key = (type(n_max), n_max, bump_kind)  # 5.0 is no table, even once 5 is built
+    if key not in _TABLES:
+        _TABLES[key] = _build_table(n_max, bump_kind)
+    return _TABLES[key]
+
+
+def _build_table(n_max: int, bump_kind: str) -> PerturbationSpec:
     _check_order(n_max)
     betas: list[Fraction] = []
     alphas: list[float] = []
@@ -234,27 +246,84 @@ def circle_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+# g's terms by spec.alphas, one slot per biased exponent below 1/2's.  The
+# order-N support lies in the binade [2^-N, 2^(1-N)), because c_N - 2^-N =
+# 1/((2^N - 1) 2^N) > 4^-N exceeds its radius 8^-N / 2, so a point's
+# exponent names the one order that can reach it.  Slot 1023 - N holds 8^N,
+# c_N = 1/(2^N - 1), alpha_N 8^-N and alpha_N, the doubles each term has
+# always used; every other slot holds NaN, where no point is live.  A tuple
+# of floats hashes in far less time than the spec's Fractions.
+_BINADES = 1023
+_TERMS: dict[tuple[float, ...], np.ndarray] = {}
+
+
+def _terms(alphas: tuple[float, ...]) -> np.ndarray:
+    terms = _TERMS.get(alphas)
+    if terms is None:
+        terms = np.full((4, _BINADES), np.nan)
+        for n, alpha in enumerate(alphas, start=2):
+            scale = 8.0**n
+            terms[:, _BINADES - n] = scale, 1.0 / (2.0**n - 1.0), alpha / scale, alpha
+        _TERMS[alphas] = terms
+    return terms
+
+
+# The bump profile runs over at most this many live points at a time, so
+# its temporaries, about 60 bytes a point, stay small on any input.
+_BUMP_BLOCK = 2048
+
+
+def _bump_blocks(u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """bump_chi(u, kind), evaluated _BUMP_BLOCK points at a time."""
+    if u.size <= _BUMP_BLOCK:
+        return bump_chi(u, kind)
+    chi, dchi = np.empty_like(u), np.empty_like(u)
+    for i in range(0, u.size, _BUMP_BLOCK):
+        block = slice(i, i + _BUMP_BLOCK)
+        chi[block], dchi[block] = bump_chi(u[block], kind)
+    return chi, dchi
+
+
+def _live_terms(spec: PerturbationSpec, xv: np.ndarray):
+    """The live points of xv, a fresh 1-d array in [0, 1] that serves as
+    scratch, as a mask, with alpha_N 8^-N chi(u) and alpha_N chi'(u) there;
+    None where no point is live."""
+    scale, center, coef, alpha = _terms(spec.alphas)
+    slot = xv.view(np.int64) >> 52  # the biased exponent; 1/2 and up clip to a NaN slot
+    u = center.take(slot, mode="clip")
+    np.subtract(xv, u, out=u)
+    u *= scale.take(slot, mode="clip", out=xv)
+    live = np.abs(u, out=xv) < 0.5
+    if not live.any():
+        return None
+    u, slot = u[live], slot[live]
+    chi, dchi = _bump_blocks(u, spec.bump_kind)
+    # each term added to 0.0, as it always was, so a -0.0 gives +0.0
+    chi *= coef[slot]
+    chi += 0.0
+    dchi *= alpha[slot]
+    dchi += 0.0
+    return live, chi, dchi
+
+
 def g_eval(spec: PerturbationSpec, x):
     """Perturbation g and g' at x, taken mod 1: any shape in, the same shape out.
 
-    A scalar x gives NumPy floats.  g(x) = sum_N alpha_N 8^-N chi(8^N (x - 1/(2^N-1)));
-    the supports for distinct N are disjoint so at most one term is active at any point.
+    A scalar x gives NumPy floats.  g(x) = sum_N alpha_N 8^-N chi(8^N (x - c_N)),
+    c_N = 1/(2^N - 1).  The supports for distinct N lie in distinct binades,
+    so one pass over the exponents gives each point the one order that can
+    reach it; the point is live when u = 8^N (x - c_N) has |u| < 0.5, and
+    the bump profile is evaluated once over the live points of every order
+    (in blocks of _BUMP_BLOCK points).  The temporaries are gone before g
+    and g' are allocated.
     """
-    xv = _mod1(np.asarray(x, dtype=float))
-    g = np.zeros_like(xv)
-    gp = np.zeros_like(xv)
-    for i, alpha in enumerate(spec.alphas):
-        n = i + 2
-        scale = 8.0**n
-        u = scale * (xv - 1.0 / (2.0**n - 1.0))
-        live = np.abs(u) < 0.5
-        if not np.any(live):
-            continue
-        # a boolean mask indexes a 0-d array as well, so one path serves every shape
-        chi, dchi = bump_chi(u[live], spec.bump_kind)
-        g[live] += alpha / scale * chi
-        gp[live] += alpha * dchi
-    return g[()], gp[()]
+    x = np.asarray(x, dtype=float)
+    found = _live_terms(spec, _mod1(x).reshape(-1)) if spec.alphas else None
+    g, gp = np.zeros(x.size), np.zeros(x.size)
+    if found is not None:
+        live, chi, dchi = found
+        g[live], gp[live] = chi, dchi
+    return g.reshape(x.shape)[()], gp.reshape(x.shape)[()]
 
 
 def f_eval(spec: PerturbationSpec, x):

@@ -9,7 +9,10 @@ level-n cylinders tile the interval in lexicographic = spatial order.
 The contraction factor is sup|g'| / 2 < 1/2, because PerturbationSpec
 enforces the C^1 budget sup|g'| < 1, so each sweep at least halves the
 distance to the root and a fixed number of sweeps reaches it to the last
-bit.  The branches fix the cylinder endpoints exactly, g_0(0) = 0.0 and
+bit.  Each point stops at its own exact fixed point: off the bumps g = 0
+and the first sweep settles it, so a solve evaluates g about twice a
+point, not once a sweep for every point until the slowest settles.  The
+branches fix the cylinder endpoints exactly, g_0(0) = 0.0 and
 g_1(1) = 1.0, so the level-k endpoints are every 2^(n-k)-th level-n
 endpoint, bit for bit: one level-n tree serves every coarser level.
 
@@ -65,26 +68,49 @@ def _check_word(w: Sequence[int]) -> Word:
 def _solve_branch(spec: PerturbationSpec, a: int, x: np.ndarray):
     """Solve 2y + g(y) = x + a for y in [a/2, (a+1)/2], vectorized; returns (y, g'(y)).
 
-    Iterates y <- (x + a - g(y)) / 2 from y = (x + a) / 2 until the sweep
-    reproduces y exactly, whose g and g' at y serve the residual and the
-    return, or until _SWEEPS sweeps have run and g is evaluated once more.
+    Iterates y <- (x + a - g(y)) / 2 from y = (x + a) / 2, each point on its
+    own: the first sweep evaluates g at every point, and each later sweep
+    only at the points the last one moved.  A point stops when its sweep
+    reproduces it exactly, so its g and g' at y serve the residual and the
+    return; after _SWEEPS sweeps g is evaluated once more at the points still
+    moving.  A reproduced point is a fixed point of the sweep, so the sweeps
+    a slower point still needs would leave its bits as they are: equal
+    values are equal bits here, since x + a is never -0.0 and so neither is
+    (x + a) / 2 or (x + a - g) / 2.
     """
-    target = x + a
-    y = 0.5 * target
-    for _ in range(_SWEEPS):
-        g, gp = g_eval(spec, y)
-        nxt = 0.5 * (target - g)
-        if np.array_equal(nxt, y):
+    target = np.asarray(x + a, dtype=float)
+    flat = target.ravel()
+    y = 0.5 * flat
+    g, gp = g_eval(spec, y)
+    nxt = 0.5 * (flat - g)
+    moving = np.flatnonzero(nxt != y)
+    y = nxt
+    for _ in range(_SWEEPS - 1):
+        if not moving.size:
             break
-        y = nxt
-    else:
-        g, gp = g_eval(spec, y)
-    resid = np.abs(2.0 * y + g - target)
+        moving = _sweep(spec, flat, y, g, gp, moving)
+    if moving.size:
+        g[moving], gp[moving] = g_eval(spec, y[moving])
+    g += 2.0 * y  # the residual |2y + g - (x + a)|, formed in g's buffer
+    g -= flat
+    resid = np.abs(g, out=g)
     if not np.all(resid < 1e-14):
         raise BranchSolverError(
             f"branch solve residual {np.max(resid):.3e} exceeds 1e-14"
         )
-    return y, gp
+    return y.reshape(target.shape), gp.reshape(target.shape)
+
+
+def _sweep(spec: PerturbationSpec, target, y, g, gp, moving):
+    """One sweep of _solve_branch over the points moving, in place; returns those it moved."""
+    ym = y[moving]
+    gm, gpm = g_eval(spec, ym)
+    g[moving], gp[moving] = gm, gpm
+    nxt = 0.5 * (target[moving] - gm)
+    moved = nxt != ym
+    moving = moving[moved]
+    y[moving] = nxt[moved]
+    return moving
 
 
 def _identity(x):
@@ -126,9 +152,13 @@ def preimage_tree(spec: PerturbationSpec, x, n: int):
         raise ValueError("n must be >= 0")
     y, deriv = _identity(x)
     for _ in range(n):
-        solved = [_solve_branch(spec, a, y) for a in (0, 1)]
-        y = np.concatenate([ya for ya, _ in solved])
-        deriv = np.concatenate([deriv / (2.0 + gp) for _, gp in solved])
+        rows = y.size
+        ys, derivs = np.empty(2 * rows), np.empty(2 * rows)
+        for a in (0, 1):
+            ys[a * rows:(a + 1) * rows], gp = _solve_branch(spec, a, y)
+            gp += 2.0
+            np.divide(deriv, gp, out=derivs[a * rows:(a + 1) * rows])
+        y, deriv = ys, derivs
     shape = (1 << n,) + np.shape(x)
     return y.reshape(shape), deriv.reshape(shape)
 

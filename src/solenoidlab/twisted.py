@@ -121,23 +121,41 @@ def nonconcentration_count(table: ZetaTable, sigma: float) -> int:
     """Ordered pairs (b, c), diagonal included, with |zeta(b) - zeta(c)| <= sigma.
 
     Each pair is judged by its rounded difference, as the all-pairs count
-    judges it; searching for the rounded bounds v +- sigma instead misjudges
-    pairs one rounding away from sigma.  After a sort fl(v[j] - v[i]) does
-    not decrease in j and fl(a - b) = -fl(b - a), so a vectorized bisection
-    per row finds the first later entry beyond sigma, and the count is twice
-    the pairs with j >= i, less the diagonal.  An all-equal table of size N
-    counts exactly N^2.
+    judges it; see _pair_counts.  An all-equal table of size N counts
+    exactly N^2.
     """
-    if not sigma > 0.0:  # also false for a NaN
+    return _pair_counts(table.values, [sigma])[0]
+
+
+def _pair_counts(values: np.ndarray, sigmas: Sequence[float]) -> list[int]:
+    """nonconcentration_count at each sigma, from one sort of the values.
+
+    After the sort fl(v[j] - v[i]) does not decrease in j and fl(a - b) =
+    -fl(b - a), so the count is twice the pairs j >= i with fl(v[j] - v[i])
+    <= sigma, less the diagonal.  Row i's pairs end at the first j that
+    fails.  np.searchsorted on the rounded bound fl(v[i] + sigma) lands
+    within a rounding of it, and the exact judge then steps the end one tie
+    block at a time (equal entries are judged alike): down to the start of
+    the last entry's block while that entry fails, up past the next entry's
+    block while that entry passes.
+    """
+    if not all(s > 0.0 for s in sigmas):  # also false for a NaN
         raise ValueError("sigma must be positive")
-    v = np.sort(table.values)
+    v = np.sort(values)
     rows = np.arange(v.size)
-    lo, hi = rows, np.full(v.size, v.size)  # v[lo] - v <= sigma < v[hi] - v
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2  # a settled row (hi = lo + 1) has mid = lo and stays
-        ok = v[mid] - v <= sigma
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return int(2 * (hi - rows).sum() - v.size)
+    counts = []
+    for sigma in sigmas:
+        end = np.searchsorted(v, v + sigma, side="right")  # > i, as fl(v[i] + sigma) >= v[i]
+        while True:
+            down = np.flatnonzero(v[end - 1] - v > sigma)
+            up = np.flatnonzero(v[np.minimum(end, v.size - 1)] - v <= sigma)
+            up = up[end[up] < v.size]
+            if not (down.size or up.size):
+                break
+            end[down] = np.searchsorted(v, v[end[down] - 1], side="left")
+            end[up] = np.searchsorted(v, v[end[up]], side="right")
+        counts.append(int(2 * (end - rows).sum() - v.size))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -151,7 +169,7 @@ class ConcentrationReport:
 
 
 def concentration_report(table: ZetaTable, sigma_list: Sequence[float]) -> ConcentrationReport:
-    """Count pairs at each sigma and fit ln(count/N^2) against ln sigma.
+    """Count pairs at each sigma, sorting the table once, and fit ln(count/N^2) against ln sigma.
 
     gamma_emp > 0 is the empirical non-concentration exponent; 0 means the
     table is flat at the scanned scales.
@@ -159,7 +177,7 @@ def concentration_report(table: ZetaTable, sigma_list: Sequence[float]) -> Conce
     sigmas = [float(s) for s in sigma_list]
     if len(sigmas) < 2:
         raise ValueError("need at least two sigma values")
-    counts = [nonconcentration_count(table, s) for s in sigmas]
+    counts = _pair_counts(table.values, sigmas)
     n2 = float(table.size) ** 2
     gamma, _ = np.polyfit(np.log(sigmas), np.log(np.array(counts) / n2), 1)
     return ConcentrationReport(tuple(sigmas), tuple(counts), table.size, float(gamma))

@@ -315,6 +315,89 @@ def test_f_and_g_match_remainder_reference(kind, n_max):
         assert np.array_equal(_bits(a), _bits(b))
 
 
+def _g_per_term(spec, x):
+    """g and g' as g_eval computed them before its one-pass rewrite: every
+    term over every point, the profile once per order with a live point."""
+    xv = _mod1(np.asarray(x, dtype=float))
+    g = np.zeros_like(xv)
+    gp = np.zeros_like(xv)
+    for i, alpha in enumerate(spec.alphas):
+        n = i + 2
+        scale = 8.0**n
+        u = scale * (xv - 1.0 / (2.0**n - 1.0))
+        live = np.abs(u) < 0.5
+        if not np.any(live):
+            continue
+        chi, dchi = bump_chi(u[live], spec.bump_kind)
+        g[live] += alpha / scale * chi
+        gp[live] += alpha * dchi
+    return g[()], gp[()]
+
+
+def _support_edges(n_max):
+    """Each order's center and support edges c_N +- 8^-N / 2, with the three
+    doubles either side of each edge, plus 0, 1/2, 1, -0.0 and NaN."""
+    points = [0.0, -0.0, 0.5, 1.0, np.nan]
+    for n in range(2, n_max + 1):
+        c, r = 1.0 / (2.0**n - 1.0), 0.5 / 8.0**n
+        points.append(c)
+        for edge in (c - r, c + r):
+            below = above = edge
+            points.append(edge)
+            for _ in range(3):
+                below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+                points += [below, above]
+    return np.array(points)
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b) and type(a) is type(b)
+        assert np.array_equal(_bits(np.atleast_1d(a)), _bits(np.atleast_1d(b)))
+
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+@pytest.mark.parametrize("n_max", range(1, _MAX_ORDER + 1))
+def test_g_matches_the_per_term_evaluation_at_every_support_edge(n_max, kind):
+    # the one-pass search picks the order; |u| < 0.5 alone decides, to the
+    # last double, which points are live
+    spec = coefficient_table(n_max, kind)
+    x = _support_edges(n_max)
+    _same_bits(g_eval(spec, x), _g_per_term(spec, x))
+    square = np.resize(x, (4, x.size // 4 + 1))
+    _same_bits(g_eval(spec, square), _g_per_term(spec, square))
+    for point in x:
+        _same_bits(g_eval(spec, point), _g_per_term(spec, point))
+        _same_bits(g_eval(spec, np.array(point)), _g_per_term(spec, np.array(point)))
+    # more live points than one block of the profile holds
+    dense = 1.0 / 3.0 + np.linspace(-1.0, 1.0, 3 * circle_map._BUMP_BLOCK + 1) / 128.0
+    _same_bits(g_eval(spec, dense), _g_per_term(spec, dense))
+
+
+@_PROPERTY
+@given(
+    n_max=st.integers(1, _MAX_ORDER),
+    kind=st.sampled_from(BUMP_KINDS),
+    x=st.lists(st.one_of(st.floats(-2.0, 3.0), st.floats(allow_infinity=True)), min_size=1, max_size=24),
+    rows=st.integers(1, 3),
+)
+def test_property_g_matches_the_per_term_evaluation(n_max, kind, x, rows):
+    spec = coefficient_table(n_max, kind)
+    x = np.array(x * rows).reshape(rows, -1)
+    with np.errstate(invalid="ignore"):
+        _same_bits(g_eval(spec, x), _g_per_term(spec, x))
+
+
+def test_g_evaluates_the_profile_once_over_every_order(monkeypatch):
+    # one point live for each order 2..8, and one call of the profile
+    spec = coefficient_table(8)
+    calls = []
+    profile = circle_map.bump_chi
+    monkeypatch.setattr(circle_map, "bump_chi", lambda u, kind: calls.append(u.size) or profile(u, kind))
+    g_eval(spec, [1.0 / (2.0**n - 1.0) for n in range(2, 9)])
+    assert calls == [7]
+
+
 def test_push_forward_matches_remainder_reference(spec):
     rng = np.random.default_rng(5)
     count = 10_007

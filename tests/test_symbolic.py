@@ -1,7 +1,11 @@
 """Inverse branches, word composition, and cylinder tilings."""
 
+import contextlib
+import math
+import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 from solenoidlab import symbolic
 from solenoidlab.circle_map import (
     BUMP_KINDS,
+    PerturbationSpec,
     circle_dist,
     coefficient_table,
     f_eval,
     g_eval,
     linear_spec,
 )
+from solenoidlab.thermo import nodes
 from solenoidlab.twisted import zeta_table
 from solenoidlab.symbolic import (
     BranchSolverError,
@@ -386,3 +392,98 @@ def test_property_level_tree_tiles_and_f_maps_it_onto_the_coarser_tree(kind, n_m
     coarse = pts[::2]
     i = np.arange(pts.size)
     assert np.all(circle_dist(f_eval(spec, pts)[0], coarse[i % (1 << (n - 1))]) < 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the per-point stop against the all-points solve it replaced
+# ---------------------------------------------------------------------------
+
+def _solve_branch_all_points(spec, a, x):
+    """_solve_branch before the per-point stop: every point is swept again
+    until one sweep reproduces all of them."""
+    target = x + a
+    y = 0.5 * target
+    for _ in range(symbolic._SWEEPS):
+        g, gp = g_eval(spec, y)
+        nxt = 0.5 * (target - g)
+        if np.array_equal(nxt, y):
+            break
+        y = nxt
+    else:
+        g, gp = g_eval(spec, y)
+    resid = np.abs(2.0 * y + g - target)
+    if not np.all(resid < 1e-14):
+        raise BranchSolverError(f"branch solve residual {np.max(resid):.3e} exceeds 1e-14")
+    return y, gp
+
+
+def _all_points_solve():
+    return mock.patch.object(symbolic, "_solve_branch", _solve_branch_all_points)
+
+
+@_PROPERTY
+@given(
+    kind=st.sampled_from(BUMP_KINDS),
+    n_max=st.sampled_from((1, 2, 5, 8, 18)),
+    n=st.integers(0, 7),
+    word=st.lists(st.sampled_from((0, 1)), max_size=12),
+    x=_X,
+)
+def test_property_tree_and_words_match_the_all_points_solve(kind, n_max, n, word, x):
+    spec = coefficient_table(n_max, kind)
+    cols = np.array([x, 0.0, 0.5, 2.0 / 3.0, 1.0])
+    got = (*preimage_tree(spec, cols, n), *apply_word(spec, word, cols))
+    with _all_points_solve():
+        want = (*preimage_tree(spec, cols, n), *apply_word(spec, word, cols))
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
+def test_deep_trees_match_the_all_points_solve(kind, n_max):
+    spec = coefficient_table(n_max, kind)
+    got = preimage_tree(spec, [0.0, 1.0], 12)
+    with _all_points_solve():
+        want = preimage_tree(spec, [0.0, 1.0], 12)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_a_nan_coefficient_fails_the_residual_contract_as_before():
+    # alpha_2 = NaN passes the spec's checks (NaN compares false), and g is NaN
+    # on the order-2 bump, where the branch-0 preimage of 2/3 lies
+    nan_spec = PerturbationSpec(2, coefficient_table(2).betas, (math.nan,))
+    x = [0.1, 2.0 / 3.0]
+    for patch in (contextlib.nullcontext(), _all_points_solve()):
+        with patch:
+            with pytest.raises(BranchSolverError):
+                preimage_tree(nan_spec, x, 1)
+            with pytest.raises(BranchSolverError):
+                apply_word(nan_spec, (1, 0), x)
+
+
+def test_a_level_evaluates_g_about_twice_a_node(monkeypatch):
+    # every node is evaluated once and only those the sweep moves, near a
+    # bump, again: 2.09 evaluations a node, where sweeping every node until
+    # the slowest settled took 6.0
+    spec = coefficient_table(5)
+    points = []
+    monkeypatch.setattr(symbolic, "g_eval", lambda s, x: points.append(np.size(x)) or g_eval(s, x))
+    preimage_tree(spec, nodes(1 << 14), 1)
+    assert sum(points) <= 2.2 * (1 << 14)
+
+
+@pytest.mark.parametrize("a", (0, 1))
+def test_branch_solve_peak_memory_per_point(a):
+    # the all-points solve peaked at 81.6 (branch 0) and 65.1 (branch 1)
+    # bytes a point on these 2^14 nodes; the per-point stop holds 48
+    spec = coefficient_table(5)
+    x = nodes(1 << 14)
+    symbolic._solve_branch(spec, a, x)  # builds g's term table outside the trace
+    tracemalloc.start()
+    try:
+        symbolic._solve_branch(spec, a, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.size <= 65.0

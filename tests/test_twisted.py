@@ -197,6 +197,68 @@ def test_property_count_matches_brute_force(distinct, picks, sigma):
     assert nonconcentration_count(_table(vals), sigma) == _brute_count(vals, sigma)
 
 
+def _count_by_bisection(values, sigma):
+    """nonconcentration_count before the one-sort sweep: its own sort, then a
+    vectorized bisection per row for the first later entry beyond sigma."""
+    v = np.sort(np.asarray(values, dtype=float))
+    rows = np.arange(v.size)
+    lo, hi = rows, np.full(v.size, v.size)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = v[mid] - v <= sigma
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return int(2 * (hi - rows).sum() - v.size)
+
+
+def _brute_count_distinct(values, sigma):
+    """_brute_count over the distinct values, each pair weighted by its multiplicities."""
+    vals, cnt = np.unique(values, return_counts=True)
+    return int(sum(int(ca) * int(cb) for a, ca in zip(vals, cnt) for b, cb in zip(vals, cnt)
+                   if abs(a - b) <= sigma))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    distinct=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40),
+    picks=st.lists(st.integers(0, 39), min_size=1, max_size=80),
+    pairs=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), min_size=1, max_size=3),
+)
+def test_property_counts_match_the_bisection_one_ulp_either_side_of_a_gap(distinct, picks, pairs):
+    vals = [distinct[i % len(distinct)] for i in picks]
+    gaps = [abs(vals[i % len(vals)] - vals[j % len(vals)]) for i, j in pairs]
+    sigmas = [s for gap in gaps for s in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)) if s > 0.0]
+    counts = twisted._pair_counts(np.array(vals), sigmas)  # concentration_report's one-sort sweep
+    assert counts == [_count_by_bisection(vals, s) for s in sigmas]
+    assert counts == [_brute_count(vals, s) for s in sigmas]
+
+
+_ROUND_UP_GAP = 1.1 - 1.0  # 0.10000000000000009: 1.0 + 0.1 rounds to 1.1, yet 1.1 - 1.0 > 0.1
+
+
+@pytest.mark.parametrize("sigma", [
+    0.1, np.nextafter(0.1, 0.0), np.nextafter(0.1, 1.0),
+    _ROUND_UP_GAP, np.nextafter(_ROUND_UP_GAP, 0.0), np.nextafter(_ROUND_UP_GAP, 1.0),
+])
+def test_counts_step_past_a_2000_entry_atom_at_the_bound(sigma):
+    # at sigma = 0.1 the rounded bound 1.0 + sigma takes the whole atom at 1.1
+    # into the pairs of every 1.0 row, and the exact judge takes it back out
+    vals = np.r_[np.full(7, 1.0), np.full(2000, 1.1), 0.9, 1.25]
+    tab = _table(np.random.default_rng(4).permutation(vals))
+    want = _brute_count_distinct(vals, sigma)
+    assert nonconcentration_count(tab, sigma) == want == _count_by_bisection(vals, sigma)
+
+
+def test_concentration_report_sorts_the_table_once(monkeypatch):
+    sorts = []
+    real_sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kwargs: sorts.append(np.size(a)) or real_sort(a, *args, **kwargs))
+    tab = _table(np.round(np.random.default_rng(3).random(4096), 3))  # ties in every block
+    rep = concentration_report(tab, np.logspace(-4, -1, 10))
+    assert sorts == [4096]
+    monkeypatch.undo()
+    assert rep.counts == tuple(_count_by_bisection(tab.values, s) for s in rep.sigma_list)
+
+
 def test_count_monotone_in_sigma(pert_eq):
     tab = zeta_table(pert_eq, (0, 1, 0, 1, 0, 1, 0, 1, 0), 8)
     sigmas = np.logspace(-6, -1, 12)
