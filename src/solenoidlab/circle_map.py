@@ -46,18 +46,18 @@ class PeriodicityError(Exception):
 # ---------------------------------------------------------------------------
 
 def _exp_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C-infinity increasing step, 0 for t<=0 and 1 for t>=1, and its derivative."""
+    """C-infinity increasing step, 0 for t<=0 and 1 for t>=1, and its derivative.
+
+    Both exps run over the whole block: exp(-1/0) = exp(-inf) = 0.0 at the
+    ends, and the derivative is zeroed outside 0 < t < 1.
+    """
     t = np.clip(t, 0.0, 1.0)
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
-    pos = t > 0.0
-    a[pos] = np.exp(-1.0 / t[pos])
-    neg = t < 1.0
-    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    deriv = np.zeros_like(t)
-    inner = pos & neg
-    ti, ai, bi = t[inner], a[inner], b[inner]
-    deriv[inner] = (ai / ti**2 * bi - ai * (-bi / (1.0 - ti) ** 2)) / (ai + bi) ** 2
+    t += 0.0  # a -0.0 becomes +0.0, so -1/t is -inf there, not +inf
+    s = 1.0 - t
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, b = np.exp(-1.0 / t), np.exp(-1.0 / s)
+        deriv = (a / t**2 * b - a * (-b / s**2)) / (a + b) ** 2
+    deriv[~((t > 0.0) & (s > 0.0))] = 0.0
     return a / (a + b), deriv
 
 
@@ -87,13 +87,23 @@ def bump_chi(u, kind: str = "exp"):
     """Profile chi(u) = u * theta(u) and its derivative.
 
     chi(0) = 0 and chi'(0) = 1, so each lattice bump alpha_N 8^-N chi(8^N(x - c_N))
-    vanishes at its center with slope exactly alpha_N.
+    vanishes at its center with slope exactly alpha_N.  On the plateau
+    |u| <= 1/4 the profile gives theta = 1 and theta' = +-0, so chi = u and
+    chi' = 1.0 bit for bit; it runs only on the rim points (and NaNs).
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown bump kind {kind!r}; expected one of {BUMP_KINDS}")
     u = np.asarray(u, dtype=float)
-    theta, dtheta = _bump_theta(u, kind)
-    return u * theta, theta + u * dtheta
+    chi, dchi = u.copy(), np.ones(u.shape)  # both C-ordered, as is flat
+    flat = u.reshape(-1)
+    plateau = np.abs(flat) <= 0.25
+    rim = np.flatnonzero(np.invert(plateau, out=plateau))
+    if rim.size:
+        ur = flat[rim]
+        theta, dtheta = _bump_theta(ur, kind)
+        chi.reshape(-1)[rim] = ur * theta
+        dchi.reshape(-1)[rim] = theta + ur * dtheta
+    return chi[()], dchi[()]
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +323,9 @@ def g_eval(spec: PerturbationSpec, x):
     c_N = 1/(2^N - 1).  The supports for distinct N lie in distinct binades,
     so one pass over the exponents gives each point the one order that can
     reach it; the point is live when u = 8^N (x - c_N) has |u| < 0.5, and
-    the bump profile is evaluated once over the live points of every order
-    (in blocks of _BUMP_BLOCK points).  The temporaries are gone before g
-    and g' are allocated.
+    bump_chi runs once over the live points of every order (in blocks of
+    _BUMP_BLOCK points), and the profile only over their rim points.  The
+    temporaries are gone before g and g' are allocated.
     """
     x = np.asarray(x, dtype=float)
     found = _live_terms(spec, _mod1(x).reshape(-1)) if spec.alphas else None

@@ -14,7 +14,11 @@ and the first sweep settles it, so a solve evaluates g about twice a
 point, not once a sweep for every point until the slowest settles.  The
 branches fix the cylinder endpoints exactly, g_0(0) = 0.0 and
 g_1(1) = 1.0, so the level-k endpoints are every 2^(n-k)-th level-n
-endpoint, bit for bit: one level-n tree serves every coarser level.
+endpoint, bit for bit: one level-n tree serves every coarser level.  So
+the x = 0 tree f^-n(0) is built once per process and spec: a read-only
+memo keeps only its deepest level's endpoints, grows them by
+preimage_tree's own per-level step, and every level-n request slices it
+(_zero_endpoints).
 
 Boundary convention: theta = 1/2 belongs to symbol 1 and theta = 0 to
 symbol 0; cylinder work happens on the closed interval [0, 1] so the
@@ -23,6 +27,7 @@ right endpoint 1 (the circle point 0) is a legal lift coordinate.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -142,6 +147,22 @@ def apply_word(spec: PerturbationSpec, w: Sequence[int], x):
     return y.reshape(np.shape(x))[()], deriv.reshape(np.shape(x))[()]
 
 
+def _grow(spec: PerturbationSpec, y: np.ndarray, deriv: np.ndarray | None = None):
+    """One level of preimage_tree: branch 0, then branch 1, solved on every row of y.
+
+    Returns the new rows and, when deriv is given, their chain-rule derivatives.
+    """
+    rows = y.size
+    ys = np.empty(2 * rows)
+    derivs = None if deriv is None else np.empty(2 * rows)
+    for a in (0, 1):
+        ys[a * rows:(a + 1) * rows], gp = _solve_branch(spec, a, y)
+        if deriv is not None:
+            gp += 2.0
+            np.divide(deriv, gp, out=derivs[a * rows:(a + 1) * rows])
+    return ys, derivs
+
+
 def preimage_tree(spec: PerturbationSpec, x, n: int):
     """g_w(x) and its chain-rule derivative for every word w of length n.
 
@@ -152,15 +173,58 @@ def preimage_tree(spec: PerturbationSpec, x, n: int):
         raise ValueError("n must be >= 0")
     y, deriv = _identity(x)
     for _ in range(n):
-        rows = y.size
-        ys, derivs = np.empty(2 * rows), np.empty(2 * rows)
-        for a in (0, 1):
-            ys[a * rows:(a + 1) * rows], gp = _solve_branch(spec, a, y)
-            gp += 2.0
-            np.divide(deriv, gp, out=derivs[a * rows:(a + 1) * rows])
-        y, deriv = ys, derivs
+        y, deriv = _grow(spec, y, deriv)
     shape = (1 << n,) + np.shape(x)
     return y.reshape(shape), deriv.reshape(shape)
+
+
+@functools.lru_cache(maxsize=1)
+def _zero_memo(spec: PerturbationSpec) -> list:
+    """[level, endpoints]: the deepest x = 0 tree grown so far for the last spec.
+
+    The endpoints are the tree's rows and a last 1.0, read-only.  Only
+    _zero_endpoints writes the memo, and mu_hat's thread pool never reaches
+    it, because that pool's passes call only NumPy.
+    """
+    return [0, _read_only(np.array([0.0, 1.0]))]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _zero_endpoints(spec: PerturbationSpec, n: int) -> np.ndarray:
+    """The rows of preimage_tree(spec, 0.0, n), flattened, bit for bit, and a last 1.0.
+
+    One tree per spec: the memo keeps only its deepest level and grows it
+    one _grow step at a time.  Level n is every 2^(top-n)-th row of level
+    top, because the extra symbols are 0s and g_0(0) = 0.0.  The result is a
+    read-only view of the memo, so a caller holds no copy of the tree.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    memo = _zero_memo(spec)
+    while memo[0] < n:
+        rows, _ = _grow(spec, memo[1][:-1])
+        memo[:] = memo[0] + 1, _read_only(np.append(rows, 1.0))
+    return memo[1][:: 1 << (memo[0] - n)]
+
+
+def _zero_tree(spec: PerturbationSpec, n: int):
+    """preimage_tree(spec, 0.0, n), flattened, bit for bit: a read-only y and a fresh deriv.
+
+    Level k's rows are every 2^(n-k)-th level-n row, so one g_eval over the
+    level-n rows gives f' = 2 + g' at every level, the g' each solve
+    returned; the derivatives then divide level by level as in _grow.
+    """
+    y = _zero_endpoints(spec, n)[:-1]
+    fp = g_eval(spec, y)[1]
+    fp += 2.0
+    deriv = np.ones(1)
+    for k in range(1, n + 1):
+        deriv = np.tile(deriv, 2) / fp[:: 1 << (n - k)]
+    return y, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +237,7 @@ def index_word(idx: int, n: int) -> Word:
 
 
 def level_endpoints(spec: PerturbationSpec, n: int) -> np.ndarray:
-    """The 2^n + 1 sorted cylinder endpoints at level n.
+    """The 2^n + 1 sorted cylinder endpoints at level n, a read-only view of one shared tree.
 
     In lexicographic word order, cylinder i at level n is
     [endpoints[i], endpoints[i + 1]]; the left endpoints are f^-n(0).
@@ -181,7 +245,7 @@ def level_endpoints(spec: PerturbationSpec, n: int) -> np.ndarray:
     """
     if n > _MAX_LEVEL:
         raise ValueError(f"n must be at most {_MAX_LEVEL}")
-    return np.append(preimage_tree(spec, 0.0, n)[0], 1.0)
+    return _zero_endpoints(spec, n)
 
 
 def endpoint_anchors(pts: np.ndarray) -> np.ndarray:

@@ -379,9 +379,10 @@ def ball_mass(eq: EquilibriumData, centers, r: float):
 def cylinder_levels(eq: EquilibriumData, levels: Sequence[int]) -> list[tuple]:
     """(n, nu(U_w), S_n ln f', S_n phi) over the level-n cylinders, for each n in levels.
 
-    Arrays run in lexicographic word order, sums at the anchors.  One tree at
-    the deepest level serves every n: its every 2^(top-n)-th endpoint is the
-    level-n endpoint bit for bit, and one pass of each sum holds every level.
+    Arrays run in lexicographic word order, sums at the anchors.  One slice
+    of the process's shared x = 0 tree at the deepest level serves every n:
+    its every 2^(top-n)-th endpoint is the level-n endpoint bit for bit, and
+    one pass of each sum holds every level.
     """
     if min(levels, default=0) < 1:
         raise ValueError("levels must be a non-empty list of n >= 1")

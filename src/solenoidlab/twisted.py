@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle_map import PerturbationSpec
-from .symbolic import Word, _check_word, _compose, preimage_tree
+from .symbolic import Word, _check_word, _compose, _zero_tree
 from .thermo import EquilibriumData, transfer_matrix
 
 __all__ = [
@@ -104,13 +104,27 @@ def _zeta_values(spec: PerturbationSpec, lyapunov: float, ctx: Word, n: int) -> 
     process that share a table build it once; the array is read-only
     because every table built from these arguments shares it.
     """
-    # row b', column s is the word b' s at its anchor s; raveled, index 2 b' + s
-    y, deriv = preimage_tree(spec, [0.0, 1.0], n)
-    _, deriv = _compose(spec, ctx[:-1], y.ravel(), deriv.ravel())
+    # The columns go straight into the composition, which lets each go once
+    # the first context symbol has replaced it.
+    y, deriv = _zero_tree(spec, n)
+    _, deriv = _compose(spec, ctx[:-1], _anchor_columns(y, 1.0), _anchor_columns(deriv, deriv[0]))
 
     values = np.exp(2.0 * lyapunov * n) * deriv
     values.setflags(write=False)
     return values
+
+
+def _anchor_columns(col: np.ndarray, last: float) -> np.ndarray:
+    """Row b', column s of the word b' s at its anchor s, raveled to index 2 b' + s.
+
+    col holds the x = 0 tree's level-n rows (or derivatives).  Column 1 is
+    column 0 moved up one row, with last (1.0, or deriv[0]) in the last row,
+    bit for bit: g_0(1) and g_1(0) solve the same equation 2y + g(y) = 1,
+    g_1 fixes 1, and g' is read mod 1, so f'(1) = f'(0) = 2.
+    """
+    out = np.empty((col.size, 2))
+    out[:, 0], out[:-1, 1], out[-1, 1] = col, col[1:], last
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -619,3 +619,79 @@ def test_lattice_argument_validation():
         verify_lattice(1)
     with pytest.raises(ValueError):
         verify_lattice(5, radius_base=1)
+
+
+# ---------------------------------------------------------------------------
+# the bump profile's plateau and the exp step, against the forms they replaced
+# ---------------------------------------------------------------------------
+
+def _exp_step_masked(t):
+    """circle_map._exp_step before it took both exps over the whole block
+    (its warnings silenced: a subnormal t overflows -1/t, a NaN t gives 0/0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.clip(t, 0.0, 1.0)
+        a = np.zeros_like(t)
+        b = np.zeros_like(t)
+        pos = t > 0.0
+        a[pos] = np.exp(-1.0 / t[pos])
+        neg = t < 1.0
+        b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+        deriv = np.zeros_like(t)
+        inner = pos & neg
+        ti, ai, bi = t[inner], a[inner], b[inner]
+        deriv[inner] = (ai / ti**2 * bi - ai * (-bi / (1.0 - ti) ** 2)) / (ai + bi) ** 2
+        return a / (a + b), deriv
+
+
+def _bump_chi_everywhere(u, kind):
+    """bump_chi before the plateau: the profile at every point."""
+    step = {"exp": _exp_step_masked, "smoothstep": circle_map._poly_step}[kind]
+    u = np.asarray(u, dtype=float)
+    theta, dstep = step(2.0 - 4.0 * np.abs(u))
+    dtheta = dstep * (-4.0) * np.sign(u)
+    return u * theta, theta + u * dtheta
+
+
+def _same_or_both_nan(got, want):
+    assert np.shape(got) == np.shape(want) and type(got) is type(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
+def test_exp_step_matches_the_masked_step():
+    rng = np.random.default_rng(5)
+    edges = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 5e-324, 1e-300, 2.0**-52, 1.0 - 2.0**-53,
+             np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0), np.inf, -np.inf, np.nan]
+    for t in (rng.uniform(-0.5, 1.5, 5000), rng.random(10), np.array(edges)):
+        for got, want in zip(circle_map._exp_step(t), _exp_step_masked(t), strict=True):
+            _same_or_both_nan(got, want)
+
+
+_QUARTER = [0.0, -0.0, 0.25, -0.25, np.nextafter(0.25, 1.0), np.nextafter(-0.25, -1.0),
+            np.nextafter(0.25, 0.0), 0.5, -0.5, 0.75, np.nan]
+
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+def test_bump_chi_matches_the_profile_everywhere(kind):
+    rng = np.random.default_rng(7)
+    inputs = [*_QUARTER, np.array(_QUARTER), rng.uniform(-0.7, 0.7, 5000),
+              rng.uniform(-0.3, 0.3, (40, 3)).T, np.array(0.4), np.empty(0)]
+    for u in inputs:
+        got, want = bump_chi(u, kind), _bump_chi_everywhere(u, kind)
+        for a, b in zip(got, want, strict=True):
+            _same_or_both_nan(a, b)
+
+
+@pytest.mark.parametrize("kind", BUMP_KINDS)
+def test_bump_chi_runs_the_profile_only_on_the_rim(kind, monkeypatch):
+    seen = []
+    real = circle_map._bump_theta
+    monkeypatch.setattr(circle_map, "_bump_theta", lambda u, k: seen.append(u.copy()) or real(u, k))
+    u = np.concatenate([_QUARTER, np.random.default_rng(3).uniform(-0.6, 0.6, 1000)])
+    bump_chi(u, kind)
+    bump_chi(0.1, kind)
+    profiled = np.concatenate(seen)
+    rim = u[~(np.abs(u) <= 0.25)]
+    assert np.array_equal(_bits(profiled), _bits(rim))

@@ -629,7 +629,7 @@ def test_cli_limits_match_the_library(small_eq, key, monkeypatch):
     # past the limit, nothing may run beyond the argument check
     for name in ("push_forward", "sample"):
         monkeypatch.setattr(fourier, name, None)
-    for name in ("preimage_tree", "transfer_matrix"):
+    for name in ("_zero_tree", "transfer_matrix"):
         monkeypatch.setattr(twisted, name, None)
     for value in past:
         with pytest.raises(ConfigError, match=key):

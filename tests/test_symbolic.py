@@ -15,13 +15,14 @@ from solenoidlab import symbolic
 from solenoidlab.circle_map import (
     BUMP_KINDS,
     PerturbationSpec,
+    _MAX_ORDER,
     circle_dist,
     coefficient_table,
     f_eval,
     g_eval,
     linear_spec,
 )
-from solenoidlab.thermo import nodes
+from solenoidlab.thermo import cylinder_levels, mme_potential, nodes, solve_equilibrium
 from solenoidlab.twisted import zeta_table
 from solenoidlab.symbolic import (
     BranchSolverError,
@@ -487,3 +488,86 @@ def test_branch_solve_peak_memory_per_point(a):
     finally:
         tracemalloc.stop()
     assert peak / x.size <= 65.0
+
+
+# ---------------------------------------------------------------------------
+# the shared x = 0 tree
+# ---------------------------------------------------------------------------
+
+_ZERO_SPECS = [
+    pytest.param(kind, n_max, id=f"{kind}-{n_max}")
+    for kind in BUMP_KINDS
+    for n_max in (1, 5, _MAX_ORDER)
+]
+
+
+def _assert_zero_level(spec, n, ref):
+    """_zero_tree and level_endpoints at level n against preimage_tree(spec, 0.0, n), bit for bit."""
+    y, deriv = symbolic._zero_tree(spec, n)
+    assert np.array_equal(_bits(y), _bits(ref[0])), n
+    assert np.array_equal(_bits(deriv), _bits(ref[1])), n
+    assert np.array_equal(_bits(level_endpoints(spec, n)), _bits(np.append(ref[0], 1.0))), n
+
+
+@pytest.mark.parametrize("kind, n_max", _ZERO_SPECS)
+def test_the_zero_tree_is_preimage_tree_at_zero_in_any_call_order(kind, n_max):
+    spec = coefficient_table(n_max, kind)
+    order = (14, 3, 12, 0, 16, 8)
+    refs = {n: preimage_tree(spec, 0.0, n) for n in order}
+    for n in order:
+        _assert_zero_level(spec, n, refs[n])
+    # grown once, to the deepest level asked for, and kept there
+    assert symbolic._zero_memo(spec)[0] == 16
+
+
+def test_the_zero_tree_follows_a_spec_change():
+    specs = [coefficient_table(5), coefficient_table(5, "smoothstep"), coefficient_table(8)]
+    refs = {(s, n): preimage_tree(s, 0.0, n) for s in specs for n in (4, 10)}
+    for spec in specs + specs[::-1]:
+        for n in (10, 4):
+            _assert_zero_level(spec, n, refs[spec, n])
+
+
+def test_the_zero_tree_hands_out_nothing_that_writes_into_it(spec):
+    want = [_bits(a).copy() for a in (*symbolic._zero_tree(spec, 10), level_endpoints(spec, 10))]
+    for n in (10, 12):  # the level the memo holds, then a slice of a deeper one
+        y, deriv = symbolic._zero_tree(spec, n)
+        for view in (y, level_endpoints(spec, n)):
+            with pytest.raises(ValueError):
+                view[0] = 0.5
+        deriv[:] = 7.0
+    got = [*symbolic._zero_tree(spec, 10), level_endpoints(spec, 10)]
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), b)
+    assert not symbolic._zero_memo(spec)[1].flags.writeable
+
+
+@pytest.mark.parametrize("step", ("build", "find it empty"))
+def test_each_test_starts_without_a_zero_tree(spec, step):
+    # the conftest fixture empties the memo before each test; the first case
+    # leaves one built, which the second must not see
+    assert symbolic._zero_memo.cache_info().currsize == 0
+    level_endpoints(spec, 6)
+    assert symbolic._zero_memo.cache_info().currsize == 1
+
+
+def test_the_coding_commands_solve_one_level_14_tree(monkeypatch):
+    # gibbs (levels 8, 10, 12 and the level-8 cylinders.csv), deviations
+    # (levels 6..14) and the level-12 phase table, as the coding commands run
+    # them at defaults: one tree of 2 + 4 + ... + 2^14 = 32,766 solve points,
+    # where a tree per call solved 57,846
+    spec = coefficient_table(5)
+    eq = solve_equilibrium(spec, mme_potential(1 << 10))
+    sizes = []
+    real = symbolic._solve_branch
+    monkeypatch.setattr(
+        symbolic, "_solve_branch", lambda s, a, x: sizes.append(np.size(x)) or real(s, a, x)
+    )
+    cylinder_levels(eq, [8, 10, 12])
+    symbolic.cylinder_rows(spec, 8)
+    cylinder_levels(eq, list(range(6, 15)))
+    context = (0, 1) * 6 + (0,)
+    zeta_table(eq, context, 12)
+    # the phase table continues its 2^13 entries through the 12 context symbols
+    context_points = 12 * (1 << 13)
+    assert sum(sizes) - context_points <= (1 << 15) - 2

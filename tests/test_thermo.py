@@ -537,15 +537,15 @@ def test_evaluations_keep_the_input_shape(pert_eq, name, shape):
 def test_level_cap_raises_before_any_tree(spec, pert_eq, monkeypatch):
     cap = symbolic._MAX_LEVEL
     built = []
-    real = symbolic.preimage_tree
+    real = symbolic._zero_endpoints
 
-    def spy(spec, x, n):
+    def spy(spec, n):
         built.append(n)
         if n > cap:
             raise AssertionError(f"a level-{n} tree was started")
-        return real(spec, x, n)
+        return real(spec, n)
 
-    monkeypatch.setattr(symbolic, "preimage_tree", spy)
+    monkeypatch.setattr(symbolic, "_zero_endpoints", spy)
     calls = [
         lambda: symbolic.level_endpoints(spec, cap + 1),
         lambda: cylinder_levels(pert_eq, []),

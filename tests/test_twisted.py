@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from solenoidlab import twisted
-from solenoidlab.circle_map import coefficient_table, linear_spec
-from solenoidlab.symbolic import apply_word, index_word
+from solenoidlab.circle_map import BUMP_KINDS, _MAX_ORDER, coefficient_table, linear_spec
+from solenoidlab.symbolic import _compose, apply_word, index_word, preimage_tree
 from solenoidlab.thermo import mme_potential, solve_equilibrium
 from solenoidlab.twisted import (
     ZetaTable,
@@ -498,3 +499,69 @@ def test_table_scale_linear_and_ties(lin_eq):
     assert (scale.spread, scale.distinct, scale.largest_atom, scale.tie_floor) == (0.0, 1, 1.0, 1.0)
     scale = table_scale(_table([2.0, 1.0, 2.0, 3.0]))
     assert (scale.spread, scale.distinct, scale.largest_atom, scale.tie_floor) == (2.0, 3, 0.5, 0.375)
+
+
+# ---------------------------------------------------------------------------
+# the phase table's x = 1 column read from the x = 0 tree
+# ---------------------------------------------------------------------------
+
+_COLUMN_SPECS = [
+    pytest.param(kind, n_max, id=f"{kind}-{n_max}")
+    for kind in BUMP_KINDS
+    for n_max in (1, 5, _MAX_ORDER)
+]
+
+
+@pytest.mark.parametrize("kind, n_max", _COLUMN_SPECS)
+def test_the_x1_column_is_the_x0_column_moved_up_one_row(kind, n_max):
+    # g_0(1) and g_1(0) solve the same equation 2y + g(y) = 1, g_1 fixes 1,
+    # and f'(1) = f'(0) = 2
+    spec = coefficient_table(n_max, kind)
+    for n in range(1, 14):
+        y, deriv = preimage_tree(spec, [0.0, 1.0], n)
+        for col, last in ((y, 1.0), (deriv, deriv[0, 0])):
+            assert np.array_equal(_bits(col[:-1, 1]), _bits(col[1:, 0])), n
+            assert _bits(col[-1, 1]) == _bits(last), n
+
+
+def _zeta_values_two_columns(spec, lyapunov, ctx, n):
+    """twisted._zeta_values as it was built from the preimage tree of both anchors."""
+    y, deriv = preimage_tree(spec, [0.0, 1.0], n)
+    _, deriv = _compose(spec, ctx[:-1], y.ravel(), deriv.ravel())
+    return np.exp(2.0 * lyapunov * n) * deriv
+
+
+@pytest.mark.parametrize("kind, n_max", _COLUMN_SPECS)
+def test_zeta_table_matches_the_two_column_build_byte_for_byte(kind, n_max, monkeypatch):
+    spec = coefficient_table(n_max, kind)
+    eq = SimpleNamespace(spec=spec, lyapunov=0.6931471805599453 - 2.5e-9)
+    rng = np.random.default_rng(n_max)
+    composed = []
+    real = twisted._compose
+    monkeypatch.setattr(
+        twisted, "_compose", lambda s, w, y, d: composed.append((y.copy(), d.copy())) or real(s, w, y, d)
+    )
+    for n in (1, 2, 5, 12, 14, 9):
+        ctx = tuple(int(s) for s in rng.integers(0, 2, n + 1))
+        got = zeta_table(eq, ctx, n).values
+        assert got.tobytes() == _zeta_values_two_columns(spec, eq.lyapunov, ctx, n).tobytes(), n
+        # the context continues the two-column tree's points and derivatives
+        for a, b in zip(composed.pop(0), preimage_tree(spec, [0.0, 1.0], n), strict=True):
+            assert a.tobytes() == b.tobytes(), n
+
+
+def test_the_phase_table_lets_its_anchor_columns_go():
+    # with the x = 0 tree built, the table's peak is the composition of its
+    # 2^13 entries: 125.5 bytes an entry when the anchor columns go with the
+    # first context symbol, 141.5 while the builder still holds them (the
+    # two-column tree built in place peaked at 142.4)
+    spec = coefficient_table(5)
+    ctx = (0, 1) * 6 + (0,)
+    twisted._zeta_values.__wrapped__(spec, 0.69, ctx, 12)  # builds the tree and g's terms
+    tracemalloc.start()
+    try:
+        twisted._zeta_values.__wrapped__(spec, 0.69, ctx, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (1 << 13) <= 130.0
