@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -279,16 +280,40 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# Entries joined into one string per write.  A whole 2^17 grid joined at
+# once is a 3 MB string, with a 3 MB encoded copy beside it as it is written.
+_JOIN_BLOCK = 1 << 14
+
+
+def _bit_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """arr's runs of equal bits: the distinct bit patterns of their heads,
+    sorted, each run's index among them, and the run lengths.
+
+    Only the heads are sorted: the equilibrium grids hold long runs, since
+    f' = 2 exactly off the perturbation's bumps.
+    """
+    bits = arr.view(f"u{arr.itemsize}")
+    head = np.empty(bits.size, dtype=bool)
+    head[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    heads = bits[head]
+    runs = np.diff(np.flatnonzero(head), append=bits.size)
+    del head
+    uniq = np.unique(heads)
+    return uniq, np.searchsorted(uniq, heads), runs
+
+
 def _encode(obj, depth: int = 0):
     """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces, byte for byte, for str keys.
 
     A non-empty 1-D array (an equilibrium grid) is formatted one distinct
-    bit pattern at a time: its distinct entries go to the C encoder as one
-    list, the text is split at ", ", which no number's encoding contains,
-    and each entry's text is gathered back in place.  The grids repeat
-    heavily, since f' = 2 exactly off the perturbation's bumps: srb's psi
-    on 2^17 nodes holds about a thousand distinct doubles, mme's one.
-    Keying on bits, not values, keeps 0.0 and -0.0 apart.  The indented
+    bit pattern at a time: the distinct patterns of its run heads
+    (_bit_runs) go to the C encoder as one list, the text is split at
+    ", ", which no number's encoding contains, and each head's text is
+    repeated over its run.  On spectral's 2^17 srb grids that sorts 1,100,
+    6,947, 131,072 and 11,418 heads, not 131,072 entries each; mme's grids
+    hold one run.  Keying on bits, not values, keeps 0.0 and -0.0 apart.
+    The texts go out _JOIN_BLOCK entries at a time.  The indented
     json.dumps would fall back to the pure-Python encoder, several times
     slower on the grids.  Written as they come, the pieces hold one grid
     in memory at a time, not the whole document.
@@ -296,9 +321,17 @@ def _encode(obj, depth: int = 0):
     pad = "\n" + "  " * (depth + 1)
     is_list = isinstance(obj, (list, tuple)) and bool(obj)
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size:
-        uniq, inv = np.unique(obj.view(f"u{obj.itemsize}"), return_inverse=True)
+        uniq, index, runs = _bit_runs(obj)
         texts = np.array(json.dumps(uniq.view(obj.dtype).tolist())[1:-1].split(", "), dtype=object)
-        yield "[" + pad + ("," + pad).join(texts[inv].tolist()) + pad[:-2] + "]"
+        texts = texts[index].repeat(runs)
+        del uniq, index, runs  # the generator's frame would keep them while it writes
+        sep = "," + pad
+        yield "[" + pad
+        for start in range(0, obj.size, _JOIN_BLOCK):
+            if start:
+                yield sep
+            yield sep.join(texts[start : start + _JOIN_BLOCK].tolist())
+        yield pad[:-2] + "]"
     elif isinstance(obj, dict) and obj:
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON artifact keys must be strings")
@@ -617,6 +650,8 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
     The manifest's times come from the monotonic performance counter:
     wall_clock_seconds spans the whole chain, and stage_seconds gives the
     equilibrium (solve and write, or reuse) and each experiment the chain runs.
+    stage_peak_rss_mb has the same keys: the process's peak resident set in
+    MiB as each stage ends, so it never decreases along the chain.
     environment names the interpreter, library versions and host, and the
     worker count mu_hat's pool reads.
     """
@@ -628,16 +663,19 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
 
     eq: EquilibriumData | None = None
     stage_seconds = {}
+    stage_peak_rss_mb = {}
     for name in chain:
         entry = EXPERIMENT_TABLE[name]
         if entry.needs_equilibrium and eq is None:
             clock = time.perf_counter()
             eq = _run_equilibrium(config, out, custom)
             stage_seconds["equilibrium"] = time.perf_counter() - clock
+            stage_peak_rss_mb["equilibrium"] = _peak_rss_mb()
         if entry.runner is not None:
             clock = time.perf_counter()
             entry.runner(config, out, eq)
             stage_seconds[name] = time.perf_counter() - clock
+            stage_peak_rss_mb[name] = _peak_rss_mb()
 
     _write_json(
         out / "manifest.json",
@@ -647,9 +685,15 @@ def run(experiment: str, config: dict, out_dir: str | os.PathLike) -> None:
             "version": __version__,
             "wall_clock_seconds": time.perf_counter() - started,
             "stage_seconds": stage_seconds,
+            "stage_peak_rss_mb": stage_peak_rss_mb,
             "environment": _environment(),
         },
     )
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MiB (ru_maxrss counts KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _environment() -> dict:

@@ -105,16 +105,31 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 
 def _cell(x, m: int):
-    """Linear stencil of x on m periodic nodes: cell j, its right node j + 1 mod m,
-    and the offset of x within the cell, in [0, 1)."""
+    """Linear stencil of x on m periodic nodes: cell j, its right node j + 1 mod m
+    (both int32), and the offset of x within the cell, in [0, 1).
+
+    The floor is taken once.  A tiny negative x reduces mod 1 to exactly 1.0,
+    so its floor is m, which wraps to cell 0 with offset 0.  The offset
+    overwrites the scaled t, except for a 0-d input, whose t is a scalar.
+    """
     t = _mod1(np.asarray(x, dtype=float)) * m
-    j = np.floor(t).astype(int) % m
-    return j, (j + 1) % m, t - np.floor(t)
+    f = np.floor(t)
+    j = f.astype(np.int32)
+    j %= m
+    return j, (j + 1) % m, np.subtract(t, f, out=t if np.ndim(t) else None)
 
 
 def _interp_cells(values: np.ndarray, j, right, frac):
-    """values interpolated linearly at offset frac between nodes j and right."""
-    return values[j] * (1.0 - frac) + values[right] * frac
+    """values interpolated linearly at offset frac between nodes j and right.
+
+    values[j] (1 - frac) + values[right] frac with the same three roundings
+    in the same order, accumulated in the gathered values[j] rather than in
+    a fresh array per operation.
+    """
+    out = values[j]
+    out *= 1.0 - frac
+    out += values[right] * frac
+    return out
 
 
 def _interp_periodic(values: np.ndarray, x):
@@ -172,8 +187,7 @@ def _stencil(spec: PerturbationSpec, m: int) -> _Stencil:
     y, deriv = preimage_tree(spec, nodes(m), 1)
     branches = []
     for ya, da in zip(_mod1(y), deriv):
-        j, right, frac = _cell(ya, m)
-        branches.append((j.astype(np.int32), right.astype(np.int32), frac, np.log(1.0 / da)))
+        branches.append((*_cell(ya, m), np.log(1.0 / da)))
     # The C^1 budget keeps |g'| < 1, so f' lies in (1, 3): each arc between the
     # two preimages of a node maps onto a full turn, so both arcs are longer
     # than 1/3, and with m >= 1024 the four columns of a row are distinct.  No
@@ -201,14 +215,27 @@ def transfer_matrix(
     indptr.  That structure is read-only: an in-place structural call such
     as eliminate_zeros() raises ValueError, so take .copy() first.  Rows keep
     explicit zeros wherever a preimage falls on a node (frac == 0).
+
+    Besides its data a build allocates only the weights and their gathers:
+    the weights are exponentiated where they were interpolated, and a
+    twisted build writes i twist ln f' into the branch's right-node column,
+    exponentiates it there and multiplies the weights in before spreading
+    the product over both columns.  Those are the bits of w e^{i twist ln f'}:
+    the real part 0 only ever meets exact zeros, and exp(0) = 1.
     """
     m = potential.m
     stencil = _stencil(spec, m)
     data = np.empty((m, 4), dtype=complex if twist else float)
     for k, (j, right, frac, log_fp) in enumerate(stencil.branches):
-        w = np.exp(_interp_cells(potential.values, j, right, frac))
+        w = _interp_cells(potential.values, j, right, frac)
+        np.exp(w, out=w)
         if twist:
-            w = w * np.exp(1j * twist * log_fp)
+            phase = data[:, 2 * k + 1]
+            phase.real = 0.0
+            np.multiply(log_fp, twist, out=phase.imag)
+            np.exp(phase, out=phase)
+            phase *= w
+            w = phase
         np.multiply(w, 1.0 - frac, out=data[:, 2 * k])
         np.multiply(w, frac, out=data[:, 2 * k + 1])
     rows = stencil.wrap_rows
@@ -268,6 +295,11 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
     loop stops when successive Rayleigh estimates agree to _EIG_TOL, or
     raises after _EIG_SWEEPS sweeps.
 
+    The solve works in place: each sweep normalizes its new iterates in
+    place, rho, x, f(x) and ln h are dropped before the phi matrix is
+    built, and the density loop takes its sup change in the old iterate's
+    buffer.  The bits are those of the plain expressions.
+
     Each Rayleigh quotient's two inner products are NumPy pairwise sums,
     which run on the calling thread.  A BLAS dot product over more than
     10^4 entries may be split across BLAS threads: each split sums in
@@ -284,8 +316,9 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
         h_new = mat @ h
         rho_new = mat_t @ rho
         lam = float((h_new * rho).sum() / (h * rho).sum())
-        h = h_new / h_new.max()
-        rho = rho_new / rho_new.mean()
+        h_new /= h_new.max()
+        rho_new /= rho_new.mean()
+        h, rho = h_new, rho_new
         if abs(lam - lam_prev) < _EIG_TOL:
             break
         lam_prev = lam
@@ -299,23 +332,29 @@ def solve_equilibrium(spec: PerturbationSpec, psi: GridFunction) -> EquilibriumD
         raise SpectralConvergenceError("eigenfunction lost positivity")
     pressure = float(np.log(lam))
 
-    x = nodes(m)
-    fx, fp = f_eval(spec, x)
-    log_h = np.log(h)
-    phi_vals = psi.values - pressure + log_h - _interp_periodic(log_h, fx)
-
     # The adjoint iterate above is the conformal eigenmeasure of L_psi; the
     # invariant density is the fixed measure of the normalized operator, so
     # iterate the transpose of the phi-matrix itself (leading eigenvalue 1 up
-    # to interpolation error) starting from the product guess h * rho.
-    phi = GridFunction(_frozen(phi_vals))
-    mat_phi_t = transfer_matrix(spec, phi).T
+    # to interpolation error) starting from the product guess h * rho, which
+    # is all that rho is still needed for.  The order of the next statements
+    # decides whether the solve's garbage ends at the heap's top, where glibc
+    # returns it, and so moves the process's peak RSS by megabytes (README's
+    # paragraph on peak memory): measure the whole run before reordering them.
     dens = h * rho
     dens /= dens.mean()
+    del rho
+    log_h = np.log(h)
+    fx, fp = f_eval(spec, nodes(m))
+    phi_vals = psi.values - pressure + log_h - _interp_periodic(log_h, fx)
+    del fx, log_h  # freed before the phi matrix is built
+    phi = GridFunction(_frozen(phi_vals))
+    mat_phi_t = transfer_matrix(spec, phi).T
     for _ in range(_EIG_SWEEPS):
         dens_new = mat_phi_t @ dens
         dens_new /= dens_new.mean()
-        delta = np.max(np.abs(dens_new - dens))
+        # |dens - dens_new| is |dens_new - dens| bit for bit; the old iterate holds it
+        np.subtract(dens, dens_new, out=dens)
+        delta = np.abs(dens, out=dens).max()
         dens = dens_new
         if delta < _EIG_TOL:
             break

@@ -258,6 +258,17 @@ def test_manifest_times_each_stage(tmp_path, experiment):
     assert all(math.isfinite(s) and s >= 0 for s in stages.values())
     # disjoint spans of one monotonic clock, inside the whole run's span
     assert sum(stages.values()) <= manifest["wall_clock_seconds"]
+    # the same stages, each the process's peak RSS so far as it ended
+    peaks = manifest["stage_peak_rss_mb"]
+    assert set(peaks) == set(stages)
+    assert all(isinstance(v, float) and v > 0.0 for v in peaks.values())
+    ran = []  # the stages in the order the chain ran them; the file sorts its keys
+    for name in chain:
+        if EXPERIMENT_TABLE[name].needs_equilibrium and "equilibrium" not in ran:
+            ran.append("equilibrium")
+        if name in stages and name not in ran:
+            ran.append(name)
+    assert [peaks[name] for name in ran] == sorted(peaks.values())
 
 
 def test_stage_times_cover_the_run_at_defaults(tmp_path):
@@ -678,6 +689,11 @@ _DOCS = st.recursive(
 @example(doc={"grid": [0.5, float("nan"), 2**64], "mixed": ["a, b", 1.0, [], {}, [-0.0]]})
 @example(doc={"grid": np.array([0.5, float("nan"), -0.0]), "ints": np.arange(3)})
 @example(doc={"zeros": np.array([0.0, -0.0, 0.0, 1.5, -0.0])})
+@example(doc={"signs": np.array([0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0])})
+@example(doc={"tail": np.array([1.5, 2.5, 2.5, 3.5, 3.5, 3.5])})
+@example(doc={"one": np.array([-0.0]), "int": np.array([7])})
+@example(doc={"flat": np.full(9, -np.log(2.0)), "flat_zero": np.zeros(4)})
+@example(doc={"nans": np.array([np.nan, np.nan, 1.0, np.nan, np.nan, np.nan, -np.nan])})
 def test_encoder_matches_indented_json_dumps(doc):
     assert "".join(_encode(doc)) + "\n" == _indented(doc)
 
@@ -688,23 +704,39 @@ def test_encoder_formats_each_distinct_bit_pattern_once(monkeypatch):
     pool = np.random.default_rng(0).choice([0.0, -0.0, 1.5, float("nan"), 1e16], size=1000)
     doc = {"pool": pool, "psi": psi}
     want = _indented(doc)
-    lists = []
-    real = cli.json.dumps
+    lists, sorted_args = [], []
+    real_dumps, real_unique = cli.json.dumps, np.unique
 
     def spying(obj, *args, **kwargs):
         if isinstance(obj, list):
             lists.append(obj)
-        return real(obj, *args, **kwargs)
+        return real_dumps(obj, *args, **kwargs)
+
+    def spying_unique(ar, *args, **kwargs):
+        sorted_args.append(np.array(ar))
+        return real_unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(cli.json, "dumps", spying)
+    monkeypatch.setattr(np, "unique", spying_unique)
     assert "".join(_encode(doc)) + "\n" == want
-    # off the bumps psi is -ln 2 bit for bit, so a handful of doubles fill the grid
-    assert len(np.unique(psi)) < psi.size // 10
-    assert len(lists) == 2
-    for grid, formatted in zip((pool, psi), lists):
+    # off the bumps psi is -ln 2 bit for bit, so a handful of doubles in a
+    # few long runs fill the grid, and only the runs' heads are sorted
+    assert len(real_unique(psi)) < psi.size // 10
+    assert len(lists) == len(sorted_args) == 2
+    for grid, formatted, heads in zip((pool, psi), lists, sorted_args):
         bits = np.array(formatted, dtype=float).view("u8")
-        assert bits.size == np.unique(bits).size == np.unique(grid.view("u8")).size
+        assert bits.size == real_unique(bits).size == real_unique(grid.view("u8")).size
         assert set(bits.tolist()) == set(grid.view("u8").tolist())
+        grid_bits = grid.view("u8")
+        assert np.array_equal(heads, grid_bits[np.append(True, grid_bits[1:] != grid_bits[:-1])])
+    assert sorted_args[1].size < psi.size // 10
+
+
+def test_encoder_writes_a_grid_in_blocks(monkeypatch):
+    monkeypatch.setattr(cli, "_JOIN_BLOCK", 4)
+    for size in (1, 3, 4, 5, 8, 9, 13):
+        grid = np.repeat([0.5, -0.0, 0.0, 2.0], 4)[:size]
+        assert "".join(_encode({"g": grid})) + "\n" == _indented({"g": grid})
 
 
 def test_every_artifact_matches_indented_json_dumps(tmp_path, monkeypatch):

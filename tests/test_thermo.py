@@ -237,7 +237,7 @@ def _coo_transfer_matrix(spec, potential, twist=0.0):
     return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
 
 
-@pytest.mark.parametrize("twist", [0.0, 100.0, 1e4])
+@pytest.mark.parametrize("twist", [0.0, 100.0, 1e4, -1e4])
 @pytest.mark.parametrize("m", [1 << 10, 1 << 14])
 @pytest.mark.parametrize("kind", ["exp", "smoothstep", "linear"])
 def test_transfer_matrix_matches_the_coo_build_bit_for_bit(kind, m, twist):
@@ -271,20 +271,85 @@ def test_property_stencil_columns_strictly_increase(n_max, kind, log_m):
     assert np.all(np.diff(stencil.indices.reshape(m, 4), axis=1) > 0)
 
 
+def _int64_cell(x, m):
+    """_cell as it was written with int64 cells: the reference for the int32 form."""
+    t = _mod1(np.asarray(x, dtype=float)) * m
+    j = np.floor(t).astype(int) % m
+    return j, (j + 1) % m, t - np.floor(t)
+
+
+def _one_line_interp(values, j, right, frac):
+    """_interp_cells as one expression: the reference for the in-place form."""
+    return values[j] * (1.0 - frac) + values[right] * frac
+
+
+_CELL_EDGES = [-1e-300, -0.0, 0.0, 1.0, float(np.nextafter(1.0, 0.0)), 0.5, -0.25, 7.0 + 1e-9]
+
+
+@pytest.mark.parametrize("x", [_CELL_EDGES, *_CELL_EDGES], ids=["1d", *map(repr, _CELL_EDGES)])
+def test_cell_matches_the_int64_form(x):
+    # -1e-300 reduces mod 1 to exactly 1.0, so its floor is m, which wraps to cell 0
+    m = 1 << 10
+    got, want = thermo._cell(x, m), _int64_cell(x, m)
+    assert got[0].dtype == got[1].dtype == np.int32
+    assert np.shape(got[0]) == np.shape(want[0]) == np.shape(x)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.array_equal(g, w)
+    assert _bits(np.asarray(got[2])).tobytes() == _bits(np.asarray(want[2])).tobytes()
+    if np.ndim(x) == 0 and x == -1e-300:
+        assert (int(got[0]), int(got[1]), float(got[2])) == (0, 1, 0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    values=st.lists(st.floats(-1e300, 1e300)
+                    | st.sampled_from([0.0, -0.0]), min_size=2, max_size=16),
+    x=st.lists(st.floats(-2.0, 3.0) | st.sampled_from(_CELL_EDGES), min_size=1, max_size=16),
+)
+def test_property_interp_cells_matches_the_one_line_form(values, x):
+    values = np.array(values)
+    m = values.size
+    j, right, frac = thermo._cell(np.array(x), m)
+    got = thermo._interp_cells(values, j, right, frac)
+    assert got.tobytes() == _one_line_interp(values, j, right, frac).tobytes()
+
+
+@pytest.mark.parametrize("index", [0, 3, np.int32(5), np.array(7, dtype=np.int32)],
+                         ids=["int", "int_3", "int32", "0d_array"])
+def test_interp_cells_at_a_scalar_index_and_zero_offsets(index):
+    values = np.array([0.0, -0.0, 1.5, -0.0, 2.0, -3.0, 0.0, -0.0])
+    right = (index + 1) % values.size
+    for frac in (0.0, -0.0, 0.25, np.float64(0.75), np.array(0.5)):
+        got = thermo._interp_cells(values, index, right, frac)
+        want = _one_line_interp(values, index, right, frac)
+        assert np.shape(got) == ()
+        assert _bits(np.asarray(got)).tobytes() == _bits(np.asarray(want)).tobytes()
+    # frac = 0 on whole arrays: the gathered left values, sign of zero and all
+    j = np.arange(values.size, dtype=np.int32)
+    zeros = np.zeros(values.size)
+    got = thermo._interp_cells(values, j, (j + 1) % values.size, zeros)
+    assert got.tobytes() == _one_line_interp(values, j, (j + 1) % values.size, zeros).tobytes()
+
+
 @pytest.mark.parametrize(
     "build, bound",
     [
         (transfer_matrix, 80),
-        (lambda spec, pot: transfer_matrix(spec, pot, 1e4), 140),
-        (solve_equilibrium, 150),
+        (lambda spec, pot: transfer_matrix(spec, pot, 1e4), 90),
+        (solve_equilibrium, 100),
+        (lambda spec, pot: thermo._stencil.__wrapped__(spec, pot.m), 124),
     ],
-    ids=["real", "complex", "solve"],
+    ids=["real", "complex", "solve", "cold_stencil"],
 )
 def test_transfer_builds_fill_in_only_their_weights(spec, build, bound):
     # On a warm stencil a build allocates its 4m weights (32 bytes per node,
-    # 64 twisted) and a few per-branch temporaries: 57 and 104 bytes per node
-    # traced, and 120 for the solve, which frees the psi matrix before it
-    # builds the phi matrix.  The COO build traced 212 and 284, the solve 336.
+    # 64 twisted) and a few per-branch temporaries: 57 and 81 bytes per node
+    # traced, the twisted phase being built in the matrix's own column, and
+    # 89 for the solve, which frees the psi matrix, rho, x, f(x) and ln h
+    # before it builds the phi matrix and normalizes every iterate in place.
+    # A cold stencil traces 116: int32 cells straight from one floor.  With
+    # a fresh phase buffer, grid-sized temporaries and int64 cells these
+    # read 104, 120 and 132; the COO build traced 212 and 284, the solve 336.
     m = 1 << 16
     pot = srb_potential(spec, m)
     transfer_matrix(spec, pot)
