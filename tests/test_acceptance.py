@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import pair_counts
 from solenoidlab.circle_map import (
     circle_dist,
     coefficient_table,
@@ -264,9 +265,7 @@ def test_criterion_7_nonconcentration_and_sums(pert_eq):
         table = ZetaTable(vals)
         sigma = float(rng.choice([1e-5, 1e-3, 0.05, 0.5]) * scale + 1e-12)
         fast = nonconcentration_count(table, sigma)
-        diffs = np.abs(vals[:, None] - vals[None, :])
-        brute = int((diffs <= sigma).sum())
-        if fast != brute:
+        if fast != pair_counts(vals, [sigma])[0]:
             mismatches += 1
     checks.append((f"pair counts match brute force on 50 cases ({mismatches} mismatches)", mismatches == 0))
 

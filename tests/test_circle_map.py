@@ -8,8 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
+from reference import same_bits
 from solenoidlab import circle_map
 from solenoidlab.circle_map import (
     BUMP_KINDS,
@@ -28,7 +28,8 @@ from solenoidlab.circle_map import (
     verify_lattice,
 )
 from solenoidlab import solenoid
-from solenoidlab.solenoid import _QUARTER_PI_INV, periodic_orbit, push_forward
+from solenoidlab.solenoid import periodic_orbit
+from test_differential import QUARTER, check
 
 # alpha_2 evaluated once at 60 digits and frozen; it doubles as the
 # regression constant for the coefficient table.
@@ -219,52 +220,12 @@ def test_smoothstep_spec_builds():
 # the mod-1 reduction against NumPy's remainder
 # ---------------------------------------------------------------------------
 
-_PROPERTY = settings(derandomize=True, deadline=None, database=None)
-
-
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
-def _g_reference(spec, x):
-    """g and g' written with NumPy's remainder, the reference for _mod1."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    g = np.zeros_like(xv)
-    gp = np.zeros_like(xv)
-    for i, alpha in enumerate(spec.alphas):
-        n = i + 2
-        scale = 8.0**n
-        u = scale * (xv - 1.0 / (2.0**n - 1.0))
-        live = np.abs(u) < 0.5
-        chi, dchi = bump_chi(u[live], spec.bump_kind)
-        g[live] += alpha / scale * chi
-        gp[live] += alpha * dchi
-    return g, gp
-
-
-def _f_reference(spec, x):
-    xv = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    g, gp = _g_reference(spec, xv)
-    return (2.0 * xv + g) % 1.0, 2.0 + gp
-
-
-@_PROPERTY
-@given(x=st.floats(allow_nan=False, allow_infinity=False))
-@example(x=0.0)
-@example(x=-0.0)
-@example(x=5e-324)
-@example(x=-5e-324)
-@example(x=-1e-20)  # reduces to exactly 1.0
-@example(x=np.nextafter(1.0, 0.0))
-@example(x=2.0**52 - 0.5)  # the largest double with a fractional part
-@example(x=-(2.0**52) + 0.5)
-@example(x=2.0**53 + 2.0)  # 2^53 + 1 is not a double; the next one up is 2^53 + 2
-@example(x=1e308)
-@example(x=-1e308)
-def test_mod1_matches_numpy_remainder(x):
-    arr = np.array([x])
-    assert _bits(_mod1(arr))[0] == _bits(arr % 1.0)[0]
-    assert _bits(_mod1(x)) == _bits(np.float64(x) % 1.0)
+def test_mod1_matches_numpy_remainder():
+    # -1e-20 reduces to exactly 1.0; 2^52 - 0.5 is the largest double with a
+    # fractional part; 2^53 + 1 is not a double, and the next one up is 2^53 + 2
+    for x in (0.0, -0.0, 5e-324, -5e-324, -1e-20, np.nextafter(1.0, 0.0), 2.0**52 - 0.5,
+              -(2.0**52) + 0.5, 2.0**53 + 2.0, 1e308, -1e308):
+        check("mod1", x)
 
 
 def test_mod1_matches_numpy_remainder_on_random_bit_patterns():
@@ -272,15 +233,15 @@ def test_mod1_matches_numpy_remainder_on_random_bit_patterns():
     x = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 1 << 18, dtype=np.int64)
     x = x.view(np.float64)
     x = np.concatenate([x[np.isfinite(x)], rng.uniform(-2.0, 2.0, 1 << 16) * 1e-18])
-    assert np.array_equal(_bits(_mod1(x)), _bits(x % 1.0))
+    check("mod1", x)
 
 
 def test_mod1_leaves_its_input_unchanged():
     x = np.array([-2.75, -1e-18, 0.0, 0.5, 1.0, 3.25])
     x.setflags(write=False)
     kept = x.copy()
-    assert np.array_equal(_bits(_mod1(x)), _bits(kept % 1.0))
-    assert np.array_equal(_bits(x), _bits(kept))
+    same_bits(_mod1(x), kept % 1.0)
+    same_bits(x, kept)
     assert type(_mod1(-2.75)) is np.float64
 
 
@@ -309,29 +270,8 @@ def _reduction_inputs(spec, seed):
 def test_f_and_g_match_remainder_reference(kind, n_max):
     spec = coefficient_table(n_max, kind)
     x = _reduction_inputs(spec, n_max)
-    got = g_eval(spec, x) + f_eval(spec, x)
-    want = _g_reference(spec, x) + _f_reference(spec, x)
-    for a, b in zip(got, want):
-        assert np.array_equal(_bits(a), _bits(b))
-
-
-def _g_per_term(spec, x):
-    """g and g' as g_eval computed them before its one-pass rewrite: every
-    term over every point, the profile once per order with a live point."""
-    xv = _mod1(np.asarray(x, dtype=float))
-    g = np.zeros_like(xv)
-    gp = np.zeros_like(xv)
-    for i, alpha in enumerate(spec.alphas):
-        n = i + 2
-        scale = 8.0**n
-        u = scale * (xv - 1.0 / (2.0**n - 1.0))
-        live = np.abs(u) < 0.5
-        if not np.any(live):
-            continue
-        chi, dchi = bump_chi(u[live], spec.bump_kind)
-        g[live] += alpha / scale * chi
-        gp[live] += alpha * dchi
-    return g[()], gp[()]
+    check("g", spec, x)
+    check("f", spec, x)
 
 
 def _support_edges(n_max):
@@ -350,12 +290,6 @@ def _support_edges(n_max):
     return np.array(points)
 
 
-def _same_bits(got, want):
-    for a, b in zip(got, want):
-        assert np.shape(a) == np.shape(b) and type(a) is type(b)
-        assert np.array_equal(_bits(np.atleast_1d(a)), _bits(np.atleast_1d(b)))
-
-
 @pytest.mark.parametrize("kind", BUMP_KINDS)
 @pytest.mark.parametrize("n_max", range(1, _MAX_ORDER + 1))
 def test_g_matches_the_per_term_evaluation_at_every_support_edge(n_max, kind):
@@ -363,29 +297,13 @@ def test_g_matches_the_per_term_evaluation_at_every_support_edge(n_max, kind):
     # last double, which points are live
     spec = coefficient_table(n_max, kind)
     x = _support_edges(n_max)
-    _same_bits(g_eval(spec, x), _g_per_term(spec, x))
-    square = np.resize(x, (4, x.size // 4 + 1))
-    _same_bits(g_eval(spec, square), _g_per_term(spec, square))
+    check("g", spec, x)
+    check("g", spec, np.resize(x, (4, x.size // 4 + 1)))
     for point in x:
-        _same_bits(g_eval(spec, point), _g_per_term(spec, point))
-        _same_bits(g_eval(spec, np.array(point)), _g_per_term(spec, np.array(point)))
+        check("g", spec, point)
+        check("g", spec, np.array(point))
     # more live points than one block of the profile holds
-    dense = 1.0 / 3.0 + np.linspace(-1.0, 1.0, 3 * circle_map._BUMP_BLOCK + 1) / 128.0
-    _same_bits(g_eval(spec, dense), _g_per_term(spec, dense))
-
-
-@_PROPERTY
-@given(
-    n_max=st.integers(1, _MAX_ORDER),
-    kind=st.sampled_from(BUMP_KINDS),
-    x=st.lists(st.one_of(st.floats(-2.0, 3.0), st.floats(allow_infinity=True)), min_size=1, max_size=24),
-    rows=st.integers(1, 3),
-)
-def test_property_g_matches_the_per_term_evaluation(n_max, kind, x, rows):
-    spec = coefficient_table(n_max, kind)
-    x = np.array(x * rows).reshape(rows, -1)
-    with np.errstate(invalid="ignore"):
-        _same_bits(g_eval(spec, x), _g_per_term(spec, x))
+    check("g", spec, 1.0 / 3.0 + np.linspace(-1.0, 1.0, 3 * circle_map._BUMP_BLOCK + 1) / 128.0)
 
 
 def test_g_evaluates_the_profile_once_over_every_order(monkeypatch):
@@ -399,17 +317,7 @@ def test_g_evaluates_the_profile_once_over_every_order(monkeypatch):
 
 
 def test_push_forward_matches_remainder_reference(spec):
-    rng = np.random.default_rng(5)
-    count = 10_007
-    thetas, xs, ys = rng.random(count), np.zeros(count), np.zeros(count)
-    got = push_forward(spec, thetas, 20)
-    for _ in range(20):
-        ang = 2.0 * np.pi * thetas
-        thetas, _ = _f_reference(spec, thetas)
-        xs = 0.25 * xs + _QUARTER_PI_INV * np.cos(ang)
-        ys = 0.25 * ys + _QUARTER_PI_INV * np.sin(ang)
-    for a, b in zip(got, (thetas, xs, ys)):
-        assert np.array_equal(_bits(a), _bits(b))
+    check("push_forward", spec, np.random.default_rng(5).random(10_007), 20)
 
 
 def test_one_mod1_reduction_in_package():
@@ -560,41 +468,10 @@ def test_mutated_radius_fails_disjointness():
     assert report.first_violation is not None
 
 
-def _all_pairs_lattice(k_max, radius_base):
-    """The lattice check as every pair of orders and every point against every order."""
-    first = None
-    intervals = [(K, *circle_map._interval(K, radius_base)) for K in range(2, k_max + 1)]
-    pairs, disjoint_ok = 0, True
-    for i, (ki, lo_i, hi_i) in enumerate(intervals):
-        for kj, lo_j, hi_j in intervals[i + 1:]:
-            pairs += 1
-            if not (hi_j < lo_i or hi_i < lo_j):
-                disjoint_ok = False
-                first = first or f"intervals K={ki} and K={kj} overlap"
-    # every order whose interval reaches the smallest point, 2/(2^k_max - 1)
-    min_point = Fraction(2, 2**k_max - 1)
-    deep = []
-    while not deep or deep[-1][2] >= min_point:
-        deep.append((len(deep) + 2, *circle_map._interval(len(deep) + 2, radius_base)))
-    exclusions, exclusions_ok = 0, True
-    for N in range(2, k_max + 1):
-        for k in range(1, N):
-            exclusions += 1
-            p = Fraction(2**k, 2**N - 1)
-            for K, lo, hi in deep:
-                if lo <= p <= hi:
-                    exclusions_ok = False
-                    first = first or f"2^{k}/(2^{N}-1) lies in the order-{K} interval"
-                    break
-    return LatticeReport(
-        k_max, radius_base, len(intervals), pairs, exclusions, disjoint_ok, exclusions_ok, first
-    )
-
-
 @pytest.mark.parametrize("radius_base", [2, 3, 4, 5, 8, 16])
 def test_lattice_sweep_matches_all_pairs(radius_base):
     for k_max in range(2, 41):
-        assert verify_lattice(k_max, radius_base) == _all_pairs_lattice(k_max, radius_base)
+        check("lattice", k_max, radius_base)
 
 
 def test_lattice_violation_messages():
@@ -622,66 +499,23 @@ def test_lattice_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# the bump profile's plateau and the exp step, against the forms they replaced
+# the bump profile's plateau and the exp step
 # ---------------------------------------------------------------------------
-
-def _exp_step_masked(t):
-    """circle_map._exp_step before it took both exps over the whole block
-    (its warnings silenced: a subnormal t overflows -1/t, a NaN t gives 0/0)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.clip(t, 0.0, 1.0)
-        a = np.zeros_like(t)
-        b = np.zeros_like(t)
-        pos = t > 0.0
-        a[pos] = np.exp(-1.0 / t[pos])
-        neg = t < 1.0
-        b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-        deriv = np.zeros_like(t)
-        inner = pos & neg
-        ti, ai, bi = t[inner], a[inner], b[inner]
-        deriv[inner] = (ai / ti**2 * bi - ai * (-bi / (1.0 - ti) ** 2)) / (ai + bi) ** 2
-        return a / (a + b), deriv
-
-
-def _bump_chi_everywhere(u, kind):
-    """bump_chi before the plateau: the profile at every point."""
-    step = {"exp": _exp_step_masked, "smoothstep": circle_map._poly_step}[kind]
-    u = np.asarray(u, dtype=float)
-    theta, dstep = step(2.0 - 4.0 * np.abs(u))
-    dtheta = dstep * (-4.0) * np.sign(u)
-    return u * theta, theta + u * dtheta
-
-
-def _same_or_both_nan(got, want):
-    assert np.shape(got) == np.shape(want) and type(got) is type(want)
-    got, want = np.atleast_1d(got), np.atleast_1d(want)
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
-
 
 def test_exp_step_matches_the_masked_step():
     rng = np.random.default_rng(5)
     edges = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 5e-324, 1e-300, 2.0**-52, 1.0 - 2.0**-53,
              np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0), np.inf, -np.inf, np.nan]
     for t in (rng.uniform(-0.5, 1.5, 5000), rng.random(10), np.array(edges)):
-        for got, want in zip(circle_map._exp_step(t), _exp_step_masked(t), strict=True):
-            _same_or_both_nan(got, want)
-
-
-_QUARTER = [0.0, -0.0, 0.25, -0.25, np.nextafter(0.25, 1.0), np.nextafter(-0.25, -1.0),
-            np.nextafter(0.25, 0.0), 0.5, -0.5, 0.75, np.nan]
+        check("exp_step", t)
 
 
 @pytest.mark.parametrize("kind", BUMP_KINDS)
 def test_bump_chi_matches_the_profile_everywhere(kind):
     rng = np.random.default_rng(7)
-    inputs = [*_QUARTER, np.array(_QUARTER), rng.uniform(-0.7, 0.7, 5000),
-              rng.uniform(-0.3, 0.3, (40, 3)).T, np.array(0.4), np.empty(0)]
-    for u in inputs:
-        got, want = bump_chi(u, kind), _bump_chi_everywhere(u, kind)
-        for a, b in zip(got, want, strict=True):
-            _same_or_both_nan(a, b)
+    for u in [*QUARTER, np.array(QUARTER), rng.uniform(-0.7, 0.7, 5000),
+              rng.uniform(-0.3, 0.3, (40, 3)).T, np.array(0.4), np.empty(0)]:
+        check("bump_chi", u, kind)
 
 
 @pytest.mark.parametrize("kind", BUMP_KINDS)
@@ -689,9 +523,9 @@ def test_bump_chi_runs_the_profile_only_on_the_rim(kind, monkeypatch):
     seen = []
     real = circle_map._bump_theta
     monkeypatch.setattr(circle_map, "_bump_theta", lambda u, k: seen.append(u.copy()) or real(u, k))
-    u = np.concatenate([_QUARTER, np.random.default_rng(3).uniform(-0.6, 0.6, 1000)])
+    u = np.concatenate([QUARTER, np.random.default_rng(3).uniform(-0.6, 0.6, 1000)])
     bump_chi(u, kind)
     bump_chi(0.1, kind)
     profiled = np.concatenate(seen)
     rim = u[~(np.abs(u) <= 0.25)]
-    assert np.array_equal(_bits(profiled), _bits(rim))
+    same_bits(profiled, rim)

@@ -650,7 +650,7 @@ def test_cli_limits_match_the_library(small_eq, key, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the JSON artifact encoder (hypothesis, derandomized so every run draws the same cases)
+# the JSON artifact encoder
 # ---------------------------------------------------------------------------
 
 def _indented(doc) -> str:
@@ -684,7 +684,7 @@ _DOCS = st.recursive(
 )
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@settings(max_examples=100)
 @given(doc=st.dictionaries(_TEXT, _DOCS, max_size=4))
 @example(doc={"grid": [0.5, float("nan"), 2**64], "mixed": ["a, b", 1.0, [], {}, [-0.0]]})
 @example(doc={"grid": np.array([0.5, float("nan"), -0.0]), "ints": np.arange(3)})

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from solenoidlab import fourier
 from solenoidlab.circle_map import coefficient_table, linear_spec
 from solenoidlab.fourier import decay_exponent, dyadic_frequencies, mu_hat, nu_hat
 from solenoidlab.solenoid import push_forward
 from solenoidlab.thermo import GridFunction, mme_potential, nodes, sample, solve_equilibrium
+from test_differential import check
 
 
 @pytest.fixture(scope="module")
@@ -132,47 +134,13 @@ def test_mu_hat_holds_one_frequency_at_a_time():
     assert peak <= 26 * samples
 
 
-def _textbook_mu_hat(eq, rows, samples, seed, pushed=None):
-    """mu_hat's estimates from np.exp(1j * phase), its mean and the two parts' var(),
-    reading the given push of the draws, or pushing them here."""
-    draws = sample(eq, samples, seed)
-    thetas, xs, ys = pushed or push_forward(eq.spec, draws, fourier._FIBER_DEPTH)
-    out = []
-    for row in np.asarray(rows, dtype=float):
-        if row[1:].any():
-            phase = row[0] * thetas
-            phase += row[1] * xs
-            phase += row[2] * ys
-        else:
-            phase = row[0] * draws
-        vals = np.exp(1j * phase)
-        var = vals.real.var() + vals.imag.var()
-        out.append((complex(vals.mean()), float(np.sqrt(var / samples))))
-    return out
-
-
-def _hex(estimate):
-    value, err = estimate
-    return value.real.hex(), value.imag.hex(), err.hex()
-
-
 @pytest.mark.parametrize("samples", [1_000, 12_345, 1 << 17])
 def test_mu_hat_matches_the_textbook_form_bit_for_bit(pert_eq, samples):
-    rows = [
-        (10.0, 0.0, 0.0),
-        (-7.5, 0.0, 0.0),
-        (1000.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0),
-        (-0.0, 0.0, 0.0),  # phase -0.0, which 1j * phase turns into +0.0j
-        (-0.0, -0.0, -0.0),
-        (50.0, 3.0, -2.0),
-        (-7.0, 0.0, 40.0),
-        (-0.0, 2.0, -0.0),
-    ]
+    # (-0.0, 0.0, 0.0) has phase -0.0, which 1j * phase turns into +0.0j
+    rows = [(10.0, 0.0, 0.0), (-7.5, 0.0, 0.0), (1000.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0),
+            (-0.0, -0.0, -0.0), (50.0, 3.0, -2.0), (-7.0, 0.0, 40.0), (-0.0, 2.0, -0.0)]
     for seed in (1, 2, 3):
-        got = mu_hat(pert_eq, rows, samples=samples, seed=seed)
-        want = _textbook_mu_hat(pert_eq, rows, samples, seed)
-        assert [_hex(e) for e in got] == [_hex(e) for e in want]
+        check("mu_hat", pert_eq, rows, samples, seed)
 
 
 _PARTIAL = 3 * fourier._CHUNK + 777  # three whole chunks and a partial one
@@ -190,12 +158,12 @@ def test_mu_hat_bits_do_not_follow_the_worker_count(pert_eq, monkeypatch, rows, 
     # every chunk takes its phase and exp, and every sum runs over the whole
     # array, whichever worker computes a chunk and however many run
     pushed = push_forward(pert_eq.spec, sample(pert_eq, samples, 4), fourier._FIBER_DEPTH)
-    want = [_hex(e) for e in _textbook_mu_hat(pert_eq, rows, samples, 4, pushed)]
+    want = reference.mu_hat(pert_eq, rows, samples, 4, pushed)
     monkeypatch.setattr(fourier, "push_forward", lambda *args: pushed)  # the same push, once
     for workers in (1, 2, 3):
         monkeypatch.setattr(fourier, "_workers", lambda: workers)
         got = mu_hat(pert_eq, rows, samples=samples, seed=4)
-        assert [_hex(e) for e in got] == want, workers
+        reference.same_bits(got, want)
 
 
 def test_mu_hat_pool_is_capped_at_the_chunk_count_and_shut_down(pert_eq, monkeypatch):

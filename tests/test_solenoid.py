@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import same_bits
 from solenoidlab import solenoid
 from solenoidlab.circle_map import (
     BUMP_KINDS,
@@ -25,6 +26,7 @@ from solenoidlab.solenoid import (
     step,
     step_many,
 )
+from test_differential import check
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +210,7 @@ def test_bunching_margin_perturbed(spec):
     assert margin < 1.0
 
 
-def _walk(spec, thetas, xs, ys, depth):
+def _iterate(spec, thetas, xs, ys, depth):
     """F^depth by a step_many loop on parallel coordinate arrays."""
     for _ in range(depth):
         thetas, xs, ys, _ = step_many(spec, thetas, xs, ys)
@@ -217,7 +219,7 @@ def _walk(spec, thetas, xs, ys, depth):
 
 def test_push_forward_identity_and_contraction(spec):
     assert [list(c) for c in push_forward(spec, [0.42], 0)] == [[0.42], [0.0], [0.0]]
-    (ta, tb), (xa, xb), (ya, yb) = _walk(spec, [0.42, 0.42], [0.9, -0.3], [0.0, -0.8], 20)
+    (ta, tb), (xa, xb), (ya, yb) = _iterate(spec, [0.42, 0.42], [0.9, -0.3], [0.0, -0.8], 20)
     assert ta == tb  # same angular history
     assert abs(xa - xb) < 2 * 4.0**-20
     assert abs(ya - yb) < 2 * 4.0**-20
@@ -226,13 +228,8 @@ def test_push_forward_identity_and_contraction(spec):
 @pytest.mark.parametrize("copies", [1, 2])
 def test_push_forward_matches_serial_steps(spec, copies):
     # each row's image is its own serial walk, whatever else is in the batch
-    rng = np.random.default_rng(29)
-    n = 10_007
-    thetas = rng.random(n)
-    want = _walk(spec, thetas, np.zeros(n), np.zeros(n), 20)
-    got = push_forward(spec, np.tile(thetas, copies), 20)
-    for coord, g, w in zip("txy", got, want):
-        assert np.array_equal(g, np.tile(w, copies)), coord
+    thetas = np.random.default_rng(29).random(10_007)
+    check("push_forward", spec, np.tile(thetas, copies), 20)
 
 
 def test_periodic_orbit_rows(spec):
@@ -264,15 +261,11 @@ def test_periodic_orbit_matches_step_walk_and_lyapunov_periodic(kind, n_max):
         exponent = 0.0
         for d in derivs:
             exponent += np.log(d)
-        assert _bits(orbit.unstable_exponent) == _bits(exponent / N), N
-
-
-def _bits(x):
-    return np.float64(x).view(np.int64)
+        same_bits(np.float64(orbit.unstable_exponent), exponent / N)
 
 
 def test_push_forward_deep_resolves_fiber(spec):
-    _, (xa, xb), (ya, yb) = _walk(spec, [0.1, 0.1], [1.0, -1.0], [0.0, 0.0], 40)
+    _, (xa, xb), (ya, yb) = _iterate(spec, [0.1, 0.1], [1.0, -1.0], [0.0, 0.0], 40)
     assert abs(xa - xb) <= np.finfo(float).eps
     assert abs(ya - yb) <= np.finfo(float).eps
 
@@ -326,3 +319,30 @@ def test_one_orbit_closure_error_in_package():
                 bases = [str(name(base)) for base in node.bases]
                 assert not any(b.endswith(("Error", "Exception")) for b in bases), node.name
     assert sorted(raised) == [("solenoid.py", "PeriodicityError")]
+
+
+def test_fresh_caches_clears_every_process_lifetime_cache():
+    # A process-lifetime cache is a function under functools.lru_cache or cache,
+    # a module-level name written by subscript inside a function, or a name
+    # rebound under global; conftest.fresh_caches must empty each one.
+    caches = set()
+    for path in sorted(Path(solenoid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names = {target.id for node in tree.body
+                        for target in getattr(node, "targets", [getattr(node, "target", node)])
+                        if isinstance(target, ast.Name)}
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            if any(ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("lru_cache", "cache")
+                   for d in fn.decorator_list):
+                caches.add(f"{path.stem}.{fn.name}")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    caches.update(f"{path.stem}.{name}" for name in node.names)
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(target, ast.Subscript) and getattr(target.value, "id", None) in module_names:
+                        caches.add(f"{path.stem}.{target.value.id}")
+    fixture = next(node for node in ast.parse(Path(__file__).with_name("conftest.py").read_text()).body
+                   if getattr(node, "name", None) == "fresh_caches")
+    cleared = {ast.unparse(getattr(stmt.value, "func", stmt.value).value if isinstance(stmt, ast.Expr)
+                           else stmt.targets[0]) for stmt in fixture.body}
+    assert caches == cleared

@@ -9,8 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from reference import birkhoff_sums, same_bits, solve_branch
 from solenoidlab import symbolic
 from solenoidlab.circle_map import (
     BUMP_KINDS,
@@ -35,6 +36,7 @@ from solenoidlab.symbolic import (
     preimage_tree,
     tree_birkhoff_sums,
 )
+from test_differential import ANGLE, check
 
 
 @pytest.fixture(scope="module")
@@ -145,55 +147,20 @@ def test_level_tree_slices_are_coarser_levels(kind, n_max):
         assert np.array_equal(tree[:: 1 << (14 - k)], level_endpoints(spec, k))
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
-def _reference_levels(spec, n):
-    """Endpoints of levels 0..n by the per-level loop that preceded preimage_tree."""
-    levels = [np.array([0.0, 1.0])]
-    for _ in range(n):
-        left, _ = apply_word(spec, (0,), levels[-1])
-        right, _ = apply_word(spec, (1,), levels[-1])
-        levels.append(np.concatenate([left, right[1:]]))
-    return levels
-
-
-def _reference_zeta_derivs(spec, context, n):
-    """zeta_table's composition before preimage_tree: one symbol array per step.
-
-    Word index idx carries the anchor symbol in bit 0 and b' in bits n..1;
-    the steps apply b' right to left and then context' right to left.
-    """
-    idx = np.arange(1 << (n + 1))
-    y = (idx & 1).astype(float)
-    deriv = np.ones_like(y)
-    steps = [(idx >> bit) & 1 for bit in range(1, n + 1)] + list(reversed(context[:-1]))
-    for syms in steps:
-        y, gp = symbolic._solve_branch(spec, np.asarray(syms, dtype=float), y)
-        deriv /= 2.0 + gp
-    return deriv
-
-
 @pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
 def test_level_endpoints_match_the_per_level_loop_bit_for_bit(kind, n_max):
-    spec = coefficient_table(n_max, bump_kind=kind)
-    for n, ref in enumerate(_reference_levels(spec, 16)):
-        assert np.array_equal(_bits(level_endpoints(spec, n)), _bits(ref)), n
+    check("level_tree", coefficient_table(n_max, bump_kind=kind), 16)
 
 
 @pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
 def test_zeta_table_matches_per_step_symbol_arrays_bit_for_bit(kind, n_max):
-    # zeta_table reads only the spec and the exponent; at exponent 0 its
-    # values are the composed derivatives themselves
-    spec = coefficient_table(n_max, bump_kind=kind)
-    eq = SimpleNamespace(spec=spec, lyapunov=0.0)
+    # the per-step form's inputs, now checked by the zeta_table row; at
+    # exponent 0 the table's values are the composed derivatives themselves
+    eq = SimpleNamespace(spec=coefficient_table(n_max, bump_kind=kind), lyapunov=0.0)
     rng = np.random.default_rng(n_max)
     for n in range(1, 15):
         for _ in range(2):
-            context = tuple(int(s) for s in rng.integers(0, 2, n + 1))
-            ref = _reference_zeta_derivs(spec, context, n)
-            assert np.array_equal(_bits(zeta_table(eq, context, n).values), _bits(ref)), context
+            check("zeta_table", eq, tuple(int(s) for s in rng.integers(0, 2, n + 1)), n)
 
 
 def test_preimage_tree_shapes_and_checks(spec):
@@ -290,16 +257,9 @@ def test_anchor_birkhoff_matches_direct_iteration(spec):
     n = 8
     fn = lambda pts: np.log(f_eval(spec, np.asarray(pts) % 1.0)[1])
     sums = anchor_birkhoff_sums(spec, n, fn)
-    anchors = endpoint_anchors(level_endpoints(spec, n))
-    rng = np.random.default_rng(31)
-    for idx in rng.integers(0, 1 << n, size=12):
-        x = anchors[idx]
-        total = 0.0
-        for _ in range(n):
-            fx, fp = f_eval(spec, x % 1.0)
-            total += np.log(fp)
-            x = fx
-        assert sums[idx] == pytest.approx(total, abs=1e-11)
+    idx = np.random.default_rng(31).integers(0, 1 << n, size=12)
+    anchors = endpoint_anchors(level_endpoints(spec, n))[idx]
+    assert sums[idx] == pytest.approx(birkhoff_sums(spec, anchors, n, fn), abs=1e-11)
 
 
 @pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
@@ -310,8 +270,7 @@ def test_one_tree_pass_matches_each_sliced_level_bit_for_bit(kind, n_max):
         levels = log_expansion_sums(spec, pts)
         assert [s.shape for s in levels] == [(1 << k,) for k in range(1, n + 1)]
         for k in range(1, n + 1):
-            alone = log_expansion_sums(spec, pts[:: 1 << (n - k)])[-1]
-            assert np.array_equal(_bits(levels[k - 1]), _bits(alone)), (n, k)
+            same_bits(levels[k - 1], log_expansion_sums(spec, pts[:: 1 << (n - k)])[-1])
 
 
 def test_tree_birkhoff_sums_of_a_constant_count_the_steps():
@@ -320,10 +279,9 @@ def test_tree_birkhoff_sums_of_a_constant_count_the_steps():
 
 
 # ---------------------------------------------------------------------------
-# property tests (hypothesis, derandomized so every run draws the same cases)
+# property tests
 # ---------------------------------------------------------------------------
 
-_PROPERTY = settings(derandomize=True, deadline=None, database=None)
 _SPECS = {kind: coefficient_table(5, kind) for kind in BUMP_KINDS}
 
 
@@ -332,44 +290,28 @@ def _tree_anchors(kind, n):
     return endpoint_anchors(level_endpoints(_SPECS[kind], n))
 
 
-def _near_bump(kind, n, u):
-    # image of a point inside the order-n bump, so one preimage sees g != 0
-    return f_eval(_SPECS[kind], 1.0 / (2.0**n - 1.0) + u * 8.0**-n)[0]
-
-
-_X = st.one_of(
-    st.floats(0.0, 1.0),
-    st.builds(_near_bump, st.sampled_from(BUMP_KINDS), st.integers(2, 5), st.floats(-0.5, 0.5)),
-)
-
-
-@_PROPERTY
-@given(kind=st.sampled_from(BUMP_KINDS), a=st.sampled_from((0, 1)), x=_X)
+@given(kind=st.sampled_from(BUMP_KINDS), a=st.sampled_from((0, 1)), x=ANGLE)
 def test_property_inverse_branch_inverts_f(kind, a, x):
     y, _ = apply_word(_SPECS[kind], (a,), x)
     assert 0.5 * a <= y <= 0.5 * (a + 1)
     assert circle_dist(f_eval(_SPECS[kind], y)[0], x) < 1e-14
 
 
-@_PROPERTY
 @given(kind=st.sampled_from(BUMP_KINDS), word=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
 def test_property_tree_anchor_is_cylinder_anchor(kind, word):
     anchors = _tree_anchors(kind, len(word))
     assert anchors[_index(word)] == _cylinder(_SPECS[kind], word)[word[-1]]
 
 
-@_PROPERTY
-@given(kind=st.sampled_from(BUMP_KINDS), n=st.integers(0, 6), x=_X)
+@given(kind=st.sampled_from(BUMP_KINDS), n=st.integers(0, 6), x=ANGLE)
 def test_property_tree_rows_are_composed_words(kind, n, x):
     cols = np.array([x, 0.0, 1.0])
     y, deriv = preimage_tree(_SPECS[kind], cols, n)
     for i in range(1 << n):
         wy, wd = apply_word(_SPECS[kind], index_word(i, n), cols)
-        assert np.array_equal(_bits(y[i]), _bits(wy))
-        assert np.array_equal(_bits(deriv[i]), _bits(wd))
+        same_bits((y[i], deriv[i]), (wy, wd))
 
 
-@_PROPERTY
 @given(kind=st.sampled_from(BUMP_KINDS), word=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=12))
 def test_property_cylinder_children_tile_the_parent_exactly(kind, word):
     # g_0(0) = 0.0, g_1(1) = 1.0 and g_0(1) = g_1(0) bit for bit, so the
@@ -381,7 +323,6 @@ def test_property_cylinder_children_tile_the_parent_exactly(kind, word):
     assert parent[0] < left[1] < parent[1]
 
 
-@_PROPERTY
 @given(kind=st.sampled_from(BUMP_KINDS), n_max=st.sampled_from((1, 3, 5, 8)), n=st.integers(2, 14))
 def test_property_level_tree_tiles_and_f_maps_it_onto_the_coarser_tree(kind, n_max, n):
     # f carries level-n endpoint i onto level-(n-1) endpoint i mod 2^(n-1);
@@ -399,55 +340,9 @@ def test_property_level_tree_tiles_and_f_maps_it_onto_the_coarser_tree(kind, n_m
 # the per-point stop against the all-points solve it replaced
 # ---------------------------------------------------------------------------
 
-def _solve_branch_all_points(spec, a, x):
-    """_solve_branch before the per-point stop: every point is swept again
-    until one sweep reproduces all of them."""
-    target = x + a
-    y = 0.5 * target
-    for _ in range(symbolic._SWEEPS):
-        g, gp = g_eval(spec, y)
-        nxt = 0.5 * (target - g)
-        if np.array_equal(nxt, y):
-            break
-        y = nxt
-    else:
-        g, gp = g_eval(spec, y)
-    resid = np.abs(2.0 * y + g - target)
-    if not np.all(resid < 1e-14):
-        raise BranchSolverError(f"branch solve residual {np.max(resid):.3e} exceeds 1e-14")
-    return y, gp
-
-
-def _all_points_solve():
-    return mock.patch.object(symbolic, "_solve_branch", _solve_branch_all_points)
-
-
-@_PROPERTY
-@given(
-    kind=st.sampled_from(BUMP_KINDS),
-    n_max=st.sampled_from((1, 2, 5, 8, 18)),
-    n=st.integers(0, 7),
-    word=st.lists(st.sampled_from((0, 1)), max_size=12),
-    x=_X,
-)
-def test_property_tree_and_words_match_the_all_points_solve(kind, n_max, n, word, x):
-    spec = coefficient_table(n_max, kind)
-    cols = np.array([x, 0.0, 0.5, 2.0 / 3.0, 1.0])
-    got = (*preimage_tree(spec, cols, n), *apply_word(spec, word, cols))
-    with _all_points_solve():
-        want = (*preimage_tree(spec, cols, n), *apply_word(spec, word, cols))
-    for a, b in zip(got, want):
-        assert np.array_equal(_bits(a), _bits(b))
-
-
 @pytest.mark.parametrize("kind, n_max", _TREE_SPECS)
 def test_deep_trees_match_the_all_points_solve(kind, n_max):
-    spec = coefficient_table(n_max, kind)
-    got = preimage_tree(spec, [0.0, 1.0], 12)
-    with _all_points_solve():
-        want = preimage_tree(spec, [0.0, 1.0], 12)
-    for a, b in zip(got, want):
-        assert np.array_equal(_bits(a), _bits(b))
+    check("branch_solve", coefficient_table(n_max, kind), np.array([0.0, 1.0]), 12, [])
 
 
 def test_a_nan_coefficient_fails_the_residual_contract_as_before():
@@ -455,7 +350,8 @@ def test_a_nan_coefficient_fails_the_residual_contract_as_before():
     # on the order-2 bump, where the branch-0 preimage of 2/3 lies
     nan_spec = PerturbationSpec(2, coefficient_table(2).betas, (math.nan,))
     x = [0.1, 2.0 / 3.0]
-    for patch in (contextlib.nullcontext(), _all_points_solve()):
+    all_points = mock.patch.object(symbolic, "_solve_branch", solve_branch)
+    for patch in (contextlib.nullcontext(), all_points):
         with patch:
             with pytest.raises(BranchSolverError):
                 preimage_tree(nan_spec, x, 1)
@@ -503,10 +399,8 @@ _ZERO_SPECS = [
 
 def _assert_zero_level(spec, n, ref):
     """_zero_tree and level_endpoints at level n against preimage_tree(spec, 0.0, n), bit for bit."""
-    y, deriv = symbolic._zero_tree(spec, n)
-    assert np.array_equal(_bits(y), _bits(ref[0])), n
-    assert np.array_equal(_bits(deriv), _bits(ref[1])), n
-    assert np.array_equal(_bits(level_endpoints(spec, n)), _bits(np.append(ref[0], 1.0))), n
+    same_bits(symbolic._zero_tree(spec, n), ref)
+    same_bits(level_endpoints(spec, n), np.append(ref[0], 1.0))
 
 
 @pytest.mark.parametrize("kind, n_max", _ZERO_SPECS)
@@ -529,7 +423,7 @@ def test_the_zero_tree_follows_a_spec_change():
 
 
 def test_the_zero_tree_hands_out_nothing_that_writes_into_it(spec):
-    want = [_bits(a).copy() for a in (*symbolic._zero_tree(spec, 10), level_endpoints(spec, 10))]
+    want = [a.copy() for a in (*symbolic._zero_tree(spec, 10), level_endpoints(spec, 10))]
     for n in (10, 12):  # the level the memo holds, then a slice of a deeper one
         y, deriv = symbolic._zero_tree(spec, n)
         for view in (y, level_endpoints(spec, n)):
@@ -537,8 +431,7 @@ def test_the_zero_tree_hands_out_nothing_that_writes_into_it(spec):
                 view[0] = 0.5
         deriv[:] = 7.0
     got = [*symbolic._zero_tree(spec, 10), level_endpoints(spec, 10)]
-    for a, b in zip(got, want):
-        assert np.array_equal(_bits(a), b)
+    same_bits(got, want)
     assert not symbolic._zero_memo(spec)[1].flags.writeable
 
 

@@ -1,19 +1,17 @@
 """Equilibrium solves, Gibbs estimates, regularity, deviations, sampling."""
 
-import dataclasses
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from reference import birkhoff_sums, equilibrium, same_bits
 from solenoidlab import symbolic, thermo
 from solenoidlab.circle_map import (
     BUMP_KINDS,
@@ -44,6 +42,7 @@ from solenoidlab.thermo import (
     upper_regularity_exponent,
 )
 from solenoidlab.twisted import ZetaTable, nonconcentration_count, twisted_norm_profile
+from test_differential import CELL_EDGES, check
 
 M = 1 << 12
 LN2 = math.log(2.0)
@@ -216,49 +215,18 @@ def test_preimages_follow_spec_and_grid(spec):
     assert not np.array_equal(thermo._stencil.__wrapped__(smooth, m).branches[0][2], exp_frac)
 
 
-def _coo_transfer_matrix(spec, potential, twist=0.0):
-    """The transfer matrix as a COO triple converted by scipy, cells found per build."""
-    m = potential.m
-    y, deriv = symbolic.preimage_tree(spec, nodes(m), 1)
-    rows = np.tile(np.arange(m), 4)
-    cols = np.empty(4 * m, dtype=int)
-    data = np.empty(4 * m, dtype=complex if twist else float)
-    for k, (ya, fp) in enumerate(zip(_mod1(y), 1.0 / deriv)):
-        w = np.exp(potential(ya))
-        if twist:
-            w = w * np.exp(1j * twist * np.log(fp))
-        j, right, frac = thermo._cell(ya, m)
-        sl = slice(2 * k * m, (2 * k + 1) * m)
-        sr = slice((2 * k + 1) * m, (2 * k + 2) * m)
-        cols[sl] = j
-        data[sl] = w * (1.0 - frac)
-        cols[sr] = right
-        data[sr] = w * frac
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
-
-
 @pytest.mark.parametrize("twist", [0.0, 100.0, 1e4, -1e4])
 @pytest.mark.parametrize("m", [1 << 10, 1 << 14])
 @pytest.mark.parametrize("kind", ["exp", "smoothstep", "linear"])
 def test_transfer_matrix_matches_the_coo_build_bit_for_bit(kind, m, twist):
     spec_ = linear_spec() if kind == "linear" else coefficient_table(5, kind)
     pot = GridFunction(srb_potential(spec_, m).values + 0.3 * np.sin(2 * np.pi * nodes(m)))
-    got = transfer_matrix(spec_, pot, twist)
-    want = _coo_transfer_matrix(spec_, pot, twist)
+    check("transfer_matrix", spec_, pot, twist)
     # rows whose slots are out of column order exist, so the permutation ran
     assert thermo._stencil(spec_, m).wrap_rows.size > 0
-    assert got.shape == want.shape
-    # dtype and bits: tobytes differs on a -0.0 or a NaN payload that == misses
-    for name in ("data", "indices", "indptr"):
-        got_arr, want_arr = getattr(got, name), getattr(want, name)
-        assert got_arr.dtype == want_arr.dtype
-        assert got_arr.tobytes() == want_arr.tobytes()
-    x = np.random.default_rng(m).standard_normal(m)
-    assert (got @ x).tobytes() == (want @ x).tobytes()
-    assert (got.T @ x).tobytes() == (want.T @ x).tobytes()
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@settings(max_examples=20)
 @given(n_max=st.integers(1, 18), kind=st.sampled_from(BUMP_KINDS), log_m=st.integers(10, 14))
 def test_property_stencil_columns_strictly_increase(n_max, kind, log_m):
     # The C^1 budget below 1 gives f' in (1, 3), so the two preimages of a node
@@ -271,47 +239,15 @@ def test_property_stencil_columns_strictly_increase(n_max, kind, log_m):
     assert np.all(np.diff(stencil.indices.reshape(m, 4), axis=1) > 0)
 
 
-def _int64_cell(x, m):
-    """_cell as it was written with int64 cells: the reference for the int32 form."""
-    t = _mod1(np.asarray(x, dtype=float)) * m
-    j = np.floor(t).astype(int) % m
-    return j, (j + 1) % m, t - np.floor(t)
-
-
-def _one_line_interp(values, j, right, frac):
-    """_interp_cells as one expression: the reference for the in-place form."""
-    return values[j] * (1.0 - frac) + values[right] * frac
-
-
-_CELL_EDGES = [-1e-300, -0.0, 0.0, 1.0, float(np.nextafter(1.0, 0.0)), 0.5, -0.25, 7.0 + 1e-9]
-
-
-@pytest.mark.parametrize("x", [_CELL_EDGES, *_CELL_EDGES], ids=["1d", *map(repr, _CELL_EDGES)])
+@pytest.mark.parametrize("x", [CELL_EDGES, *CELL_EDGES], ids=["1d", *map(repr, CELL_EDGES)])
 def test_cell_matches_the_int64_form(x):
     # -1e-300 reduces mod 1 to exactly 1.0, so its floor is m, which wraps to cell 0
     m = 1 << 10
-    got, want = thermo._cell(x, m), _int64_cell(x, m)
-    assert got[0].dtype == got[1].dtype == np.int32
-    assert np.shape(got[0]) == np.shape(want[0]) == np.shape(x)
-    for g, w in zip(got[:2], want[:2]):
-        assert np.array_equal(g, w)
-    assert _bits(np.asarray(got[2])).tobytes() == _bits(np.asarray(want[2])).tobytes()
+    check("cell", x, m)
+    got = thermo._cell(x, m)
+    assert np.shape(got[0]) == np.shape(x)
     if np.ndim(x) == 0 and x == -1e-300:
         assert (int(got[0]), int(got[1]), float(got[2])) == (0, 1, 0.0)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(
-    values=st.lists(st.floats(-1e300, 1e300)
-                    | st.sampled_from([0.0, -0.0]), min_size=2, max_size=16),
-    x=st.lists(st.floats(-2.0, 3.0) | st.sampled_from(_CELL_EDGES), min_size=1, max_size=16),
-)
-def test_property_interp_cells_matches_the_one_line_form(values, x):
-    values = np.array(values)
-    m = values.size
-    j, right, frac = thermo._cell(np.array(x), m)
-    got = thermo._interp_cells(values, j, right, frac)
-    assert got.tobytes() == _one_line_interp(values, j, right, frac).tobytes()
 
 
 @pytest.mark.parametrize("index", [0, 3, np.int32(5), np.array(7, dtype=np.int32)],
@@ -320,15 +256,11 @@ def test_interp_cells_at_a_scalar_index_and_zero_offsets(index):
     values = np.array([0.0, -0.0, 1.5, -0.0, 2.0, -3.0, 0.0, -0.0])
     right = (index + 1) % values.size
     for frac in (0.0, -0.0, 0.25, np.float64(0.75), np.array(0.5)):
-        got = thermo._interp_cells(values, index, right, frac)
-        want = _one_line_interp(values, index, right, frac)
-        assert np.shape(got) == ()
-        assert _bits(np.asarray(got)).tobytes() == _bits(np.asarray(want)).tobytes()
+        check("interp_cells", values, index, right, frac)
+        assert np.shape(thermo._interp_cells(values, index, right, frac)) == ()
     # frac = 0 on whole arrays: the gathered left values, sign of zero and all
     j = np.arange(values.size, dtype=np.int32)
-    zeros = np.zeros(values.size)
-    got = thermo._interp_cells(values, j, (j + 1) % values.size, zeros)
-    assert got.tobytes() == _one_line_interp(values, j, (j + 1) % values.size, zeros).tobytes()
+    check("interp_cells", values, j, (j + 1) % values.size, np.zeros(values.size))
 
 
 @pytest.mark.parametrize(
@@ -545,10 +477,6 @@ def test_cylinder_masses_sum_to_one(pert_eq):
         assert masses.min() >= 0.0
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
 @pytest.mark.parametrize("which", ["mme", "sin"])
 def test_cylinder_levels_match_each_level_bit_for_bit(pert_eq, sin_eq, which):
     eq = pert_eq if which == "mme" else sin_eq
@@ -563,7 +491,7 @@ def test_cylinder_levels_match_each_level_bit_for_bit(pert_eq, sin_eq, which):
             symbolic.tree_birkhoff_sums(pts, eq.phi)[-1],
         )
         for a, b in zip(arrays, want):
-            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), n
+            same_bits(a, b)
 
 
 # Every entry point the lab evaluates on single angles and on arrays alike,
@@ -595,7 +523,7 @@ def test_evaluations_keep_the_input_shape(pert_eq, name, shape):
     call = _SHAPED[name]
     for got, flat in zip(call(pert_eq, x), call(pert_eq, np.ravel(x)), strict=True):
         assert np.shape(got) == shape
-        assert np.array_equal(_bits(got), _bits(flat.reshape(shape)))
+        same_bits(np.asarray(got), flat.reshape(shape))
         assert isinstance(got, float) == (shape == ())
 
 
@@ -739,19 +667,6 @@ def test_regular_words_window(pert_eq):
     assert words.size <= (1 << 7) + 2  # only cylinders meeting [0, 1/4]
 
 
-def _walk_sums(eq, pts, steps):
-    """n-step Birkhoff sums of ln f' and of phi by walking f forward from each point."""
-    s_tau = np.zeros_like(pts)
-    s_phi = np.zeros_like(pts)
-    x = pts
-    for _ in range(steps):
-        fx, fp = f_eval(eq.spec, x)
-        s_tau += np.log(fp)
-        s_phi += eq.phi(x)
-        x = fx
-    return s_tau, s_phi
-
-
 @pytest.mark.parametrize(
     "which, n, eps, window",
     [
@@ -775,7 +690,9 @@ def test_regular_words_match_the_forward_walk(lin_eq, pert_eq, monkeypatch, whic
     monkeypatch.setattr(thermo, "_outside_windows", spy)
     words, _ = regular_words(eq, n, eps, window)
     pts = symbolic.level_endpoints(eq.spec, n + 1)
-    s_tau, s_phi = _walk_sums(eq, symbolic.endpoint_anchors(pts), n)
+    anchors = symbolic.endpoint_anchors(pts)
+    s_tau = birkhoff_sums(eq.spec, anchors, n, lambda x: np.log(f_eval(eq.spec, x)[1]))
+    s_phi = birkhoff_sums(eq.spec, anchors, n, eq.phi)
     (got_tau, got_phi), = seen
     assert np.max(np.abs(got_tau - s_tau)) < 1e-13
     assert np.max(np.abs(got_phi - s_phi)) < 1e-13
@@ -808,62 +725,8 @@ def test_sample_mean_log_deriv_matches_lyapunov(pert_eq):
 
 
 # ---------------------------------------------------------------------------
-# property test (hypothesis, derandomized so every run draws the same cases)
+# sampling
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _sampling_eq(kind):
-    spec = coefficient_table(5)
-    if kind == "sin":  # an O(1) potential: the density has a slope in every cell
-        return solve_equilibrium(spec, GridFunction(0.5 * np.sin(2 * np.pi * nodes(M))))
-    if kind == "srb":
-        return solve_equilibrium(spec, srb_potential(spec, 1 << 14))
-    eq = solve_equilibrium(spec, mme_potential(1 << 14))  # many nearly flat cells
-    if kind == "flat":  # a stretch of 4,000 cells whose mass the node CDF cannot resolve
-        rho = eq.density.values.copy()
-        rho[6000:10000] = 1e-20
-        return dataclasses.replace(eq, density=GridFunction(rho))
-    return eq
-
-
-class _Fractions:
-    """Stands in for sample's generator: random() returns the given fractions r."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def random(self, count):
-        assert count == self.r.size
-        return self.r
-
-
-def _sample_bits(eq, r):
-    """sample's draws from the fractions r, as raw bits."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.random, "default_rng", lambda seed: _Fractions(r))
-        return sample(eq, r.size, 0).view(np.int64)
-
-
-def _binary_search_bits(eq, r):
-    """The draws with each cell found by binary search, searchsorted(cdf, u, "right") - 1."""
-    cdf, total = thermo._node_cdf(eq)
-    u = r * total
-    rho, m = eq.density.values, eq.m
-    j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, m - 1)
-    local = (u - cdf[j]) * m
-    a, b = rho[j], rho[(j + 1) % m] - rho[j]
-    t = np.clip(2.0 * local / (a + np.sqrt(np.maximum(a * a + 2.0 * b * local, 0.0))), 0.0, 1.0)
-    return ((j + t) / m).view(np.int64)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(kind=st.sampled_from(("mme", "srb", "sin", "flat")), seed=st.integers(0, 2**32 - 1),
-       count=st.integers(1, 50_000))
-def test_property_sample_cells_match_binary_search(kind, seed, count):
-    eq = _sampling_eq(kind)
-    r = np.random.default_rng(seed).random(count)  # the fractions sample draws
-    assert np.array_equal(sample(eq, count, seed).view(np.int64), _binary_search_bits(eq, r))
-
 
 @pytest.mark.parametrize("kind", ["mme", "srb", "sin", "flat"])
 def test_sample_cells_match_binary_search_at_the_edges(kind):
@@ -871,12 +734,12 @@ def test_sample_cells_match_binary_search_at_the_edges(kind):
     # each guide-table key's k / m, including 0 and 1 (u = total), which no
     # generator draws: ties in the flat stretch and u = total must resolve to
     # the cells binary search finds
-    eq = _sampling_eq(kind)
+    eq = equilibrium(kind)
     cdf, total = thermo._node_cdf(eq)
     r = np.concatenate([cdf / total, np.arange(eq.m + 1) / eq.m])
     r = np.clip(np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]), 0.0, 1.0)
     assert r.max() * total == total
-    assert np.array_equal(_sample_bits(eq, r), _binary_search_bits(eq, r))
+    check("sample", eq, r)
 
 
 @pytest.mark.parametrize("count", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 7])
@@ -885,11 +748,9 @@ def test_sample_blocks_match_binary_search_at_block_edges(count):
     # either side of a block edge, or ending in a short block, must give the
     # same bits as one pass, and a shorter run is a prefix of a longer one
     assert thermo._SAMPLE_BLOCK == 1 << 14
-    eq, seed = _sampling_eq("sin"), 12
-    r = np.random.default_rng(seed).random(count)
-    got = sample(eq, count, seed)
-    assert np.array_equal(got.view(np.int64), _binary_search_bits(eq, r))
-    assert np.array_equal(got, sample(eq, 4 << 14, seed)[:count])
+    eq, seed = equilibrium("sin"), 12
+    check("sample", eq, np.random.default_rng(seed).random(count))
+    assert np.array_equal(sample(eq, count, seed), sample(eq, 4 << 14, seed)[:count])
 
 
 def test_sample_keeps_only_its_draws_at_full_length(spec):
@@ -907,7 +768,7 @@ def test_sample_keeps_only_its_draws_at_full_length(spec):
     assert peak <= 16 * count
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@settings(max_examples=50)
 @given(kind=st.sampled_from(("sin", "mme")), seed=st.integers(0, 2**32 - 1),
        count=st.integers(1, 50_000))
 def test_property_sample_inverts_measure_cdf(kind, seed, count):
@@ -916,6 +777,6 @@ def test_property_sample_inverts_measure_cdf(kind, seed, count):
     # flat mme cells (a dense scan of the flattest ones), and inverting
     # linearly, t = local / a, misses by up to 4.3e-4; the rationalized root
     # 2 local / (a + disc) cancels nowhere and misses by a few ulps.
-    eq = _sampling_eq(kind)
+    eq = equilibrium(kind)
     u = np.random.default_rng(seed).random(count)
     assert np.abs(measure_cdf(eq, sample(eq, count, seed)) - u).max() < 1e-14

@@ -10,11 +10,11 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
+from reference import pair_counts, same_bits
 from solenoidlab import twisted
 from solenoidlab.circle_map import BUMP_KINDS, _MAX_ORDER, coefficient_table, linear_spec
-from solenoidlab.symbolic import _compose, apply_word, index_word, preimage_tree
+from solenoidlab.symbolic import apply_word, index_word, preimage_tree
 from solenoidlab.thermo import mme_potential, solve_equilibrium
 from solenoidlab.twisted import (
     ZetaTable,
@@ -25,6 +25,7 @@ from solenoidlab.twisted import (
     twisted_norm_profile,
     zeta_table,
 )
+from test_differential import check
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +110,6 @@ def test_zeta_context_length_validation(pert_eq):
         zeta_table(pert_eq, (0, 1, 0), 4)
 
 
-def _bits(values):
-    return np.asarray(values).view(np.uint64)
-
-
 def test_zeta_values_cached_read_only_and_equal_to_a_fresh_build(pert_eq):
     ctx = (0, 1) * 6 + (0,)
     first = zeta_table(pert_eq, ctx, 12)
@@ -124,12 +121,12 @@ def test_zeta_values_cached_read_only_and_equal_to_a_fresh_build(pert_eq):
     twisted._zeta_values.cache_clear()
     rebuilt = zeta_table(pert_eq, ctx, 12)
     assert rebuilt.values is not first.values
-    assert np.array_equal(_bits(rebuilt.values), _bits(first.values))
+    same_bits(rebuilt.values, first.values)
 
 
 def test_zeta_table_follows_spec_lyapunov_context_and_n(pert_eq):
     ctx, n = (0, 1) * 3 + (0,), 6
-    base = _bits(zeta_table(pert_eq, ctx, n).values)
+    base = zeta_table(pert_eq, ctx, n).values.tobytes()
     changes = {
         "spec": (dataclasses.replace(pert_eq, spec=coefficient_table(5, "smoothstep")), ctx, n),
         "lyapunov": (dataclasses.replace(pert_eq, lyapunov=pert_eq.lyapunov * (1 + 2**-40)), ctx, n),
@@ -137,12 +134,11 @@ def test_zeta_table_follows_spec_lyapunov_context_and_n(pert_eq):
         "n": (pert_eq, ctx + (1,), n + 1),
     }
     for name, (eq, ctx_, n_) in changes.items():
-        got = _bits(zeta_table(eq, ctx_, n_).values)
-        want = _bits(twisted._zeta_values.__wrapped__(eq.spec, eq.lyapunov, ctx_, n_))
-        assert np.array_equal(got, want), name
+        got = zeta_table(eq, ctx_, n_).values
+        same_bits(got, twisted._zeta_values.__wrapped__(eq.spec, eq.lyapunov, ctx_, n_))
         # a memo that ignored this argument would have handed back the base table
-        assert not np.array_equal(got, base), name
-        assert np.array_equal(_bits(zeta_table(pert_eq, ctx, n).values), base), name
+        assert got.tobytes() != base, name
+        assert zeta_table(pert_eq, ctx, n).values.tobytes() == base, name
     assert twisted._zeta_values.cache_info().hits == 0
 
 
@@ -168,10 +164,6 @@ def test_count_sigma_covers_spread():
     assert nonconcentration_count(tab, 1.0) == 9
 
 
-def _brute_count(values, sigma):
-    return int(sum(abs(a - b) <= sigma for a in values for b in values))
-
-
 def test_count_matches_brute_force():
     rng = np.random.default_rng(99)
     for _ in range(25):
@@ -179,58 +171,14 @@ def test_count_matches_brute_force():
         vals = rng.random(n) * rng.choice([1e-3, 1.0, 5.0])
         # duplicate some entries to stress tie handling
         vals[rng.integers(0, n, size=n // 3)] = vals[0]
-        tab = _table(vals)
-        sigma = float(rng.choice([1e-6, 1e-3, 0.05, 0.5]))
-        assert nonconcentration_count(tab, sigma) == _brute_count(vals, sigma)
+        check("pair_counts", vals, [float(rng.choice([1e-6, 1e-3, 0.05, 0.5]))])
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(
-    distinct=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40),
-    picks=st.lists(st.integers(0, 39), min_size=1, max_size=80),
-    sigma=st.floats(1e-12, 10.0),
-)
-# |1.1 - 1.0| rounds to 0.10000000000000009 > 0.1, yet 1.0 + 0.1 rounds up to 1.1
-@example(distinct=[1.0, 1.1], picks=[0, 1], sigma=0.1)
-@example(distinct=[1.0, 2.0], picks=[0, 1], sigma=1.0 - 2.0**-53)
-def test_property_count_matches_brute_force(distinct, picks, sigma):
-    vals = [distinct[i % len(distinct)] for i in picks]  # repeated picks are ties
-    assert nonconcentration_count(_table(vals), sigma) == _brute_count(vals, sigma)
-
-
-def _count_by_bisection(values, sigma):
-    """nonconcentration_count before the one-sort sweep: its own sort, then a
-    vectorized bisection per row for the first later entry beyond sigma."""
-    v = np.sort(np.asarray(values, dtype=float))
-    rows = np.arange(v.size)
-    lo, hi = rows, np.full(v.size, v.size)
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        ok = v[mid] - v <= sigma
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return int(2 * (hi - rows).sum() - v.size)
-
-
-def _brute_count_distinct(values, sigma):
-    """_brute_count over the distinct values, each pair weighted by its multiplicities."""
-    vals, cnt = np.unique(values, return_counts=True)
-    return int(sum(int(ca) * int(cb) for a, ca in zip(vals, cnt) for b, cb in zip(vals, cnt)
-                   if abs(a - b) <= sigma))
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(
-    distinct=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40),
-    picks=st.lists(st.integers(0, 39), min_size=1, max_size=80),
-    pairs=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), min_size=1, max_size=3),
-)
-def test_property_counts_match_the_bisection_one_ulp_either_side_of_a_gap(distinct, picks, pairs):
-    vals = [distinct[i % len(distinct)] for i in picks]
-    gaps = [abs(vals[i % len(vals)] - vals[j % len(vals)]) for i, j in pairs]
-    sigmas = [s for gap in gaps for s in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)) if s > 0.0]
-    counts = twisted._pair_counts(np.array(vals), sigmas)  # concentration_report's one-sort sweep
-    assert counts == [_count_by_bisection(vals, s) for s in sigmas]
-    assert counts == [_brute_count(vals, s) for s in sigmas]
+def test_property_count_matches_brute_force():
+    # the pair_counts row draws these inputs; here its two fixed cases:
+    # |1.1 - 1.0| rounds to 0.10000000000000009 > 0.1, yet 1.0 + 0.1 rounds up to 1.1
+    check("pair_counts", [1.0, 1.1], [0.1])
+    check("pair_counts", [1.0, 2.0], [1.0 - 2.0**-53])
 
 
 _ROUND_UP_GAP = 1.1 - 1.0  # 0.10000000000000009: 1.0 + 0.1 rounds to 1.1, yet 1.1 - 1.0 > 0.1
@@ -244,9 +192,7 @@ def test_counts_step_past_a_2000_entry_atom_at_the_bound(sigma):
     # at sigma = 0.1 the rounded bound 1.0 + sigma takes the whole atom at 1.1
     # into the pairs of every 1.0 row, and the exact judge takes it back out
     vals = np.r_[np.full(7, 1.0), np.full(2000, 1.1), 0.9, 1.25]
-    tab = _table(np.random.default_rng(4).permutation(vals))
-    want = _brute_count_distinct(vals, sigma)
-    assert nonconcentration_count(tab, sigma) == want == _count_by_bisection(vals, sigma)
+    check("pair_counts", np.random.default_rng(4).permutation(vals), [sigma])
 
 
 def test_concentration_report_sorts_the_table_once(monkeypatch):
@@ -257,7 +203,7 @@ def test_concentration_report_sorts_the_table_once(monkeypatch):
     rep = concentration_report(tab, np.logspace(-4, -1, 10))
     assert sorts == [4096]
     monkeypatch.undo()
-    assert rep.counts == tuple(_count_by_bisection(tab.values, s) for s in rep.sigma_list)
+    assert list(rep.counts) == pair_counts(tab.values, rep.sigma_list)
 
 
 def test_count_monotone_in_sigma(pert_eq):
@@ -296,37 +242,17 @@ def test_exp_sum_geometric_sum_closed_form():
 
 
 def test_exp_sum_k1_matches_direct():
-    rng = np.random.default_rng(21)
-    vals = 1.0 + 0.01 * rng.random(100)
-    tab = _table(vals)
-    direct = abs(np.exp(1j * 3.7 * vals).sum()) / 100
-    assert exp_sum([3.7], [tab]).moduli[0] == pytest.approx(direct, abs=1e-12)
+    check("exp_sum", 3.7, [_table(1.0 + 0.01 * np.random.default_rng(21).random(100))])
 
 
 def test_exp_sum_k2_matches_double_loop():
     rng = np.random.default_rng(12)
-    a = _table(1.0 + 0.05 * rng.random(40))
-    b = _table(1.0 + 0.05 * rng.random(40))
-    eta = 11.3
-    direct = abs(
-        sum(np.exp(1j * eta * x * y) for x in a.values for y in b.values)
-    ) / 40**2
-    assert exp_sum([eta], [a, b]).moduli[0] == pytest.approx(direct, abs=1e-10)
+    check("exp_sum", 11.3, [_table(1.0 + 0.05 * rng.random(40)) for _ in range(2)])
 
 
 def test_exp_sum_k3_fold_matches_triple_loop():
     rng = np.random.default_rng(13)
-    tables = [_table(1.0 + 0.1 * rng.random(24)) for _ in range(3)]
-    eta = 7.9
-    direct = abs(
-        sum(
-            np.exp(1j * eta * x * y * z)
-            for x in tables[0].values
-            for y in tables[1].values
-            for z in tables[2].values
-        )
-    ) / 24**3
-    assert exp_sum([eta], tables).moduli[0] == pytest.approx(direct, abs=1e-10)
+    check("exp_sum", 7.9, [_table(1.0 + 0.1 * rng.random(24)) for _ in range(3)])
 
 
 def test_exp_sum_permutation_invariant():
@@ -355,19 +281,6 @@ def test_exp_sum_decreasing_trend_over_jn(pert_eq):
     assert slope < 0.0
 
 
-def _first_table_fold(tables):
-    """_product_distribution as it folded before the empty product: from the first table."""
-    values, weights = np.unique(tables[0].values, return_counts=True)
-    weights = weights.astype(float)
-    for table in tables[1:]:
-        nxt, cnt = np.unique(table.values, return_counts=True)
-        values, inverse = np.unique(np.multiply.outer(values, nxt).ravel(), return_inverse=True)
-        w = np.multiply.outer(weights, cnt.astype(float)).ravel()
-        weights = np.zeros_like(values)
-        np.add.at(weights, inverse, w)
-    return values, weights
-
-
 def test_product_distribution_folds_from_the_empty_product(pert_eq):
     assert [list(a) for a in twisted._product_distribution([])] == [[1.0], [1.0]]
     rng = np.random.default_rng(5)
@@ -375,20 +288,7 @@ def test_product_distribution_folds_from_the_empty_product(pert_eq):
     random_tables = [_table(np.concatenate([distinct, rng.choice(distinct, 30)])) for _ in range(3)]
     tab = zeta_table(pert_eq, (1, 0) * 4 + (1,), 8)
     for tables in (random_tables[:2], random_tables, [tab, tab]):
-        for got, want in zip(twisted._product_distribution(tables), _first_table_fold(tables)):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def _exact_exp_sum(eta, tables):
-    """The exact sum over every merged (v, w) pair, one phase block per chunk: the reference."""
-    values, weights = twisted._product_distribution(tables[:-1])
-    last, cnt = np.unique(tables[-1].values, return_counts=True)
-    total = 0.0 + 0.0j
-    chunk = max(1, twisted._FOLD_LIMIT // (10 * last.size))
-    for start in range(0, values.size, chunk):
-        block = np.exp(1j * eta * np.multiply.outer(values[start : start + chunk], last))
-        total += (weights[start : start + chunk, None] * (block * cnt)).sum()
-    return float(abs(total)) / float(tables[0].size) ** len(tables)
+        check("product_distribution", tables)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -409,8 +309,7 @@ def test_expansion_matches_exact_reference(k):
             # path ~1e-13; the mpmath test covers that range
             if eta * v.max() * tables[-1].values.max() > 1e4:
                 continue
-            got, want = exp_sum([eta], tables).moduli[0], _exact_exp_sum(eta, tables)
-            assert abs(got - want) <= 1e-13, (spread, bound, got, want)
+            check("exp_sum", eta, tables)
             compared.append((bound, eta, tables))
     # spread 2 reaches B = 1e3, which splits the values into many bands
     bound, eta, tables = compared[-1]
@@ -431,13 +330,14 @@ def test_banded_exp_sum_equals_whole_block(monkeypatch, etas_per_call, k, fold_l
         tables.append(_table(np.concatenate([distinct, rng.choice(distinct, 50)])))
     etas = (3.0, 47.0, 910.0, 5000.0)  # 5000 splits the values into several bands at k >= 2
     default = exp_sum(etas, tables).moduli
+    if (etas_per_call, fold_limit) == (1, twisted._FOLD_LIMIT):
+        for eta in etas:  # the other cases give these sums bit for bit
+            check("exp_sum", eta, tables)
     monkeypatch.setattr(twisted, "_FOLD_LIMIT", fold_limit)
-    # 150_000 // (10 * 150) = 100 rows per reference chunk: two chunks at k = 2, ~225 at k = 3
     calls = [etas[i : i + etas_per_call] for i in range(0, len(etas), etas_per_call)]
     split = [m for part in calls for m in exp_sum(part, tables).moduli]
-    for eta, got, before in zip(etas, split, default):
+    for got, before in zip(split, default):
         assert got == before  # neither the split of the eta list nor the fold limit reaches a sum
-        assert abs(got - _exact_exp_sum(eta, tables)) <= 1e-13, eta
     if k > 1:
         values, _ = twisted._product_distribution(tables[:-1])
         assert len(list(twisted._bands(etas[-1], values, np.ptp(tables[-1].values) / 2))) > 1
@@ -520,15 +420,8 @@ def test_the_x1_column_is_the_x0_column_moved_up_one_row(kind, n_max):
     for n in range(1, 14):
         y, deriv = preimage_tree(spec, [0.0, 1.0], n)
         for col, last in ((y, 1.0), (deriv, deriv[0, 0])):
-            assert np.array_equal(_bits(col[:-1, 1]), _bits(col[1:, 0])), n
-            assert _bits(col[-1, 1]) == _bits(last), n
-
-
-def _zeta_values_two_columns(spec, lyapunov, ctx, n):
-    """twisted._zeta_values as it was built from the preimage tree of both anchors."""
-    y, deriv = preimage_tree(spec, [0.0, 1.0], n)
-    _, deriv = _compose(spec, ctx[:-1], y.ravel(), deriv.ravel())
-    return np.exp(2.0 * lyapunov * n) * deriv
+            same_bits(col[:-1, 1], col[1:, 0])
+            same_bits(col[-1, 1], np.float64(last))
 
 
 @pytest.mark.parametrize("kind, n_max", _COLUMN_SPECS)
@@ -543,11 +436,9 @@ def test_zeta_table_matches_the_two_column_build_byte_for_byte(kind, n_max, monk
     )
     for n in (1, 2, 5, 12, 14, 9):
         ctx = tuple(int(s) for s in rng.integers(0, 2, n + 1))
-        got = zeta_table(eq, ctx, n).values
-        assert got.tobytes() == _zeta_values_two_columns(spec, eq.lyapunov, ctx, n).tobytes(), n
+        check("zeta_table", eq, ctx, n)
         # the context continues the two-column tree's points and derivatives
-        for a, b in zip(composed.pop(0), preimage_tree(spec, [0.0, 1.0], n), strict=True):
-            assert a.tobytes() == b.tobytes(), n
+        same_bits(composed.pop(0), tuple(a.ravel() for a in preimage_tree(spec, [0.0, 1.0], n)))
 
 
 def test_the_phase_table_lets_its_anchor_columns_go():
